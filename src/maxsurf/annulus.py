@@ -72,6 +72,9 @@ class CircleFunction:
         k = np.arange(m)
         n = np.where(k < half, k, k - m)
         coeffs[n + half] = t
+        # Modes -half and half alias on the nodes; an even split keeps real
+        # samples real and the interpolant accurate between the nodes.
+        coeffs[0] = coeffs[m] = 0.5 * t[half]
         return cls(coeffs, radius)
 
     @classmethod
@@ -314,9 +317,3 @@ def _pad(arr: np.ndarray, n: int) -> np.ndarray:
     out[n - k : n + k + 1] = arr
     return out
 
-
-def zero_harmonic(truncation: int = 1) -> HarmonicOnAnnulus:
-    n = 2 * truncation + 1
-    return HarmonicOnAnnulus(
-        np.zeros(n, complex), np.zeros(n, complex), 0j, 0.0, np.inf
-    )

@@ -19,7 +19,12 @@ from .annulus import (
     HarmonicOnAnnulus,
     estimate_annulus,
 )
-from .surface import DegenerateSurfaceError, MaximalSurface, is_degenerate
+from .surface import (
+    DegenerateSurfaceError,
+    MaximalSurface,
+    _track_signs,
+    is_degenerate,
+)
 
 CONSTRAINT_TOL = 1e-10
 TAIL_TOL = 1e-10
@@ -161,22 +166,15 @@ def boundary_gauss(
     use_tangent = np.abs(tp) > tol * scale
     gaps = thetas[~use_radial & ~use_tangent]
 
-    def branch_track(num):
-        vals = np.full(n_samples, np.nan + 0j)
-        prev = None
-        for i in range(n_samples):
-            v = num[i]
-            if v is None:
-                continue
-            w = np.sqrt(v / np.conj(v))
-            if prev is not None and abs(w - prev) > abs(-w - prev):
-                w = -w
-            vals[i] = w
-            prev = w
-        return vals
+    def branch_track(v, use):
+        values = np.full(n_samples, np.nan + 0j)
+        if np.any(use):
+            q = v[use] / np.conj(v[use])
+            values[use] = _track_signs(q, np.sqrt(q[0]))
+        return values
 
-    g_radial = branch_track([rp[i] if use_radial[i] else None for i in range(n_samples)])
-    g_tangent = branch_track([tp[i] if use_tangent[i] else None for i in range(n_samples)])
+    g_radial = branch_track(rp, use_radial)
+    g_tangent = branch_track(tp, use_tangent)
     both = use_radial & use_tangent
     if np.any(both):
         # The two square roots are branch-independent only up to sign; compare

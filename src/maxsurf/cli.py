@@ -17,7 +17,10 @@ from . import bjorling, fileio, interpolation
 from .annulus import DEFAULT_TRUNCATION
 from .surface import (
     DegenerateSurfaceError,
+    Region,
+    classify_point,
     conformality_residual,
+    gauss_map,
     grid_points,
     singular_set,
 )
@@ -29,7 +32,6 @@ EXIT_NO_ROOT = 4
 
 DEFAULT_CONFIG = {
     "truncation": DEFAULT_TRUNCATION,
-    "k_max": None,
     "grid_theta": 64,
     "grid_rho": 16,
     "residual_tol": 1e-8,
@@ -136,7 +138,6 @@ def cmd_interpolate(args, config) -> int:
         roots = interpolation.search_r0(
             curve,
             bracket=bracket,
-            k_max=config["k_max"],
             scan_points=config["scan_points"],
             residual_tol=config["residual_tol"],
         )
@@ -193,8 +194,6 @@ def cmd_singular_set(args, config) -> int:
 
 
 def cmd_gauss_map(args, config) -> int:
-    from .surface import Region, classify_point, gauss_map
-
     surface = fileio.load_surface(args.surface)
     thetas = 2.0 * np.pi * np.arange(args.grid[0]) / args.grid[0]
     radii = np.geomspace(args.rho_range[0], args.rho_range[1], args.grid[1])

@@ -43,10 +43,12 @@ def _component_from_spec(obj, name: str) -> CircleFunction:
         for row in entries:
             if not (isinstance(row, list) and len(row) == 3):
                 raise SpecParseError(f"{name}.fourier rows must be [n, re, im]")
-            n, re, im = row
-            modes[int(n)] = complex(float(re), float(im))
-        return CircleFunction.from_dict(modes)
-    if "samples" in obj:
+            try:
+                modes[int(row[0])] = complex(float(row[1]), float(row[2]))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SpecParseError(f"bad fourier row in {name}: {exc}") from exc
+        cf = CircleFunction.from_dict(modes)
+    elif "samples" in obj:
         rows = obj["samples"]
         if not isinstance(rows, list) or not rows:
             raise SpecParseError(f"{name}.samples must be a non-empty list")
@@ -56,8 +58,12 @@ def _component_from_spec(obj, name: str) -> CircleFunction:
             raise SpecParseError(f"bad sample row in {name}: {exc}") from exc
         if len(values) & (len(values) - 1):
             raise SpecParseError(f"{name}: sample count must be a power of two")
-        return CircleFunction.from_samples(values)
-    raise SpecParseError(f"component {name!r} needs 'fourier' or 'samples'")
+        cf = CircleFunction.from_samples(values)
+    else:
+        raise SpecParseError(f"component {name!r} needs 'fourier' or 'samples'")
+    if not np.all(np.isfinite(cf.coeffs)):
+        raise SpecParseError(f"{name}: non-finite value")
+    return cf
 
 
 @dataclass(frozen=True)
@@ -106,11 +112,16 @@ def load_curve_spec(path: str) -> CurveSpec:
             raise SpecParseError(f"missing component {name!r}")
         components[name] = _component_from_spec(raw[name], name)
     expected = raw.get("expected_r0")
+    if expected is not None:
+        try:
+            expected = float(expected)
+        except (TypeError, ValueError) as exc:
+            raise SpecParseError(f"bad expected_r0: {exc}") from exc
     return CurveSpec(
         kind=kind,
         label=str(raw.get("label", "")),
         components=components,
-        expected_r0=None if expected is None else float(expected),
+        expected_r0=expected,
     )
 
 
@@ -138,33 +149,48 @@ def save_surface(surface: MaximalSurface, path: str):
 
 def load_surface(path: str) -> MaximalSurface:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != COEFF_MAGIC:
+        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != COEFF_MAGIC:
         raise SpecParseError(f"{path}: not a surface coefficient file")
     parts: dict[str, dict] = {
         "planar": {"modes": {}, "anti": {}, "log": 0j, "annulus": (0.0, np.inf)},
         "height": {"modes": {}, "anti": {}, "log": 0j, "annulus": (0.0, np.inf)},
     }
-    for ln in lines[1:]:
-        fields = ln.split()
-        key = fields[0]
+    for lineno, ln in lines[1:]:
+        where = f"{path}:{lineno}"
+        key, *fields = ln.split()
+        tag = key.partition(".")[0]
+        if tag not in parts or key not in (tag, f"{tag}.annulus", f"{tag}.log"):
+            raise SpecParseError(f"{where}: unknown tag {key!r}")
+        width = 5 if key == tag else 2
+        if len(fields) != width:
+            raise SpecParseError(f"{where}: {key!r} needs {width} fields")
+        try:
+            n = int(fields.pop(0)) if key == tag else None
+            values = [float(x) for x in fields]
+        except ValueError as exc:
+            raise SpecParseError(f"{where}: {exc}") from exc
+        # save_surface writes an unbounded outer radius as inf.
+        unbounded = key.endswith(".annulus") and values[1] == np.inf
+        if not np.all(np.isfinite(values[:1] if unbounded else values)):
+            raise SpecParseError(f"{where}: non-finite value")
         if key.endswith(".annulus"):
-            tag = key[: -len(".annulus")]
-            parts[tag]["annulus"] = (float(fields[1]), float(fields[2]))
+            parts[tag]["annulus"] = (values[0], values[1])
         elif key.endswith(".log"):
-            tag = key[: -len(".log")]
-            parts[tag]["log"] = complex(float(fields[1]), float(fields[2]))
+            parts[tag]["log"] = complex(values[0], values[1])
         else:
-            n = int(fields[1])
-            parts[key]["modes"][n] = complex(float(fields[2]), float(fields[3]))
-            parts[key]["anti"][n] = complex(float(fields[4]), float(fields[5]))
+            parts[tag]["modes"][n] = complex(values[0], values[1])
+            parts[tag]["anti"][n] = complex(values[2], values[3])
 
     def build(tag: str) -> HarmonicOnAnnulus:
         p = parts[tag]
-        return HarmonicOnAnnulus.from_modes(
-            holo=p["modes"], antiholo=p["anti"],
-            log_coeff=p["log"], annulus=p["annulus"],
-        )
+        try:
+            return HarmonicOnAnnulus.from_modes(
+                holo=p["modes"], antiholo=p["anti"],
+                log_coeff=p["log"], annulus=p["annulus"],
+            )
+        except ValueError as exc:
+            raise SpecParseError(f"{path}: {tag}: {exc}") from exc
 
     return MaximalSurface(build("planar"), build("height"))
 

@@ -85,6 +85,8 @@ def modified_coeffs(
 ) -> ModifiedCoefficients:
     if r0 <= 0.0 or r0 == 1.0:
         raise InterpolationError("the candidate radius must be positive and != 1")
+    if curve.height.realness_error() > 1e-9 * (1.0 + curve.height.max_abs()):
+        raise InterpolationError("height component of the curve is not real")
     if truncation is None:
         truncation = max(curve.planar.max_mode, curve.height.max_mode, 1)
     n = np.arange(-truncation, truncation + 1)
@@ -95,78 +97,48 @@ def modified_coeffs(
     weight = np.divide(1.0, gap, out=np.zeros_like(gap), where=n != 0)
     f = curve.planar.coeff_array(truncation)
     g = curve.height.coeff_array(truncation)
-    log_h = complex(g[truncation]) / np.log(r0)
-    if abs(log_h.imag) > 1e-9 * (1.0 + abs(log_h)):
-        raise InterpolationError("height component of the curve is not real")
     return ModifiedCoefficients(
         r0=float(r0),
         log_planar=complex(f[truncation]) / np.log(r0),
-        log_height=log_h.real,
+        log_height=g[truncation].real / np.log(r0),
         planar=np.where(n != 0, f * weight, 0.0),
         height=np.where(n != 0, g * weight, 0.0),
         truncation=truncation,
     )
 
 
-def series_residuals(
-    mc: ModifiedCoefficients, k_max: int | None = None
-) -> tuple[dict[int, complex], float]:
+def series_residuals(mc: ModifiedCoefficients) -> tuple[dict[int, complex], float]:
     """Fourier residuals of the nullity of the radial field on |z| = 1.
 
-    The candidate surface has radial derivative sum 2 n c_n e^{i n theta} + c
-    (planar) and the analogous height expression; nullity means the planar
-    part times its conjugate equals the squared height part.  Residual k is
-    the k-th Fourier coefficient of that difference; k = 0 is returned
-    separately as a real scalar.
+    The candidate surface has radial derivative P_r = sum 2 n c_n e^{i n theta}
+    + c (planar) and the analogous real H_r (height); nullity means
+    |P_r|^2 - H_r^2 = 0.  Residual k is the k-th Fourier coefficient of that
+    difference, for 0 < |k| <= 2K; k = 0 is returned separately as a real
+    scalar.  The product has degree 2K, so M >= 4K + 1 samples on the circle
+    give every coefficient without aliasing.
     """
     K = mc.truncation
-    if k_max is None:
-        k_max = 2 * K
+    M = 1 << (4 * K).bit_length()
     n = np.arange(-K, K + 1)
-    c = mc.planar
-    d = mc.height
-    cl = mc.log_planar
-    dl = mc.log_height
-    out: dict[int, complex] = {}
-    for k in range(-k_max, k_max + 1):
-        if k == 0:
-            continue
-        shifted_c = _shift(c, K, k)
-        shifted_d = _shift(d, K, k)
-        series = np.sum(4.0 * n * (n - k) * (c * np.conj(shifted_c) - d * np.conj(shifted_d)))
-        ck = c[K + k] if abs(k) <= K else 0j
-        cmk = c[K - k] if abs(k) <= K else 0j
-        dk = d[K + k] if abs(k) <= K else 0j
-        cross = 2.0 * k * (ck * np.conj(cl) - cl * np.conj(cmk) - 2.0 * dk * dl)
-        out[k] = complex(series + cross)
-    scalar = float(
-        np.real(
-            np.sum(4.0 * n**2 * (np.abs(c) ** 2 - np.abs(d) ** 2))
-            + abs(cl) ** 2
-            - dl**2
-        )
-    )
-    return out, scalar
+
+    def radial(coeffs: np.ndarray, log_coeff: complex) -> np.ndarray:
+        spectrum = np.zeros(M, dtype=complex)
+        spectrum[n % M] = 2.0 * n * coeffs
+        spectrum[0] += log_coeff
+        return np.fft.ifft(spectrum, norm="forward")
+
+    p = radial(mc.planar, mc.log_planar)
+    h = radial(mc.height, mc.log_height)
+    modes = np.fft.fft(np.abs(p) ** 2 - np.abs(h) ** 2, norm="forward")
+    out = {k: complex(modes[k % M]) for k in range(-2 * K, 2 * K + 1) if k}
+    return out, float(modes[0].real)
 
 
-def _shift(arr: np.ndarray, K: int, k: int) -> np.ndarray:
-    """arr index n -> value at n - k, zero outside [-K, K]."""
-    out = np.zeros_like(arr)
-    if k >= 0:
-        out[k:] = arr[: len(arr) - k] if k else arr
-    else:
-        out[:k] = arr[-k:]
-    return out
-
-
-def scalar_residual(curve: SpacelikeCurve, r0: float, k_max: int | None = None) -> float:
+def scalar_residual(curve: SpacelikeCurve, r0: float) -> float:
     """Sup-norm over all Fourier modes of the nullity residual at r0."""
     mc = modified_coeffs(curve, r0)
-    residuals, zero_mode = series_residuals(mc, k_max)
-    worst = abs(zero_mode)
-    if residuals:
-        worst = max(worst, max(abs(v) for v in residuals.values()))
-    return worst
+    residuals, zero_mode = series_residuals(mc)
+    return max(abs(zero_mode), max(abs(v) for v in residuals.values()))
 
 
 def _golden_minimize(fn, lo: float, hi: float, width: float = GOLDEN_WIDTH):
@@ -192,7 +164,6 @@ def _golden_minimize(fn, lo: float, hi: float, width: float = GOLDEN_WIDTH):
 def search_r0(
     curve: SpacelikeCurve,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
-    k_max: int | None = None,
     scan_points: int = SCAN_POINTS,
     residual_tol: float = RESIDUAL_TOL,
 ) -> list[float]:
@@ -213,7 +184,7 @@ def search_r0(
         sub.append((max(lo, 1.0 + UNIT_GAP), hi))
 
     def fn(r):
-        return scalar_residual(curve, r, k_max)
+        return scalar_residual(curve, r)
 
     roots: list[float] = []
     for a, b in sub:

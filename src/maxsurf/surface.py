@@ -376,7 +376,7 @@ def _integrate_sqrt_segment(qfn, za, zb, s_start, tol=QUAD_TOL, max_depth=40):
     return total, s_start
 
 
-def _polyline(h: HarmonicOnAnnulus, z0: complex, z1: complex) -> list[complex]:
+def _polyline(z0: complex, z1: complex) -> list[complex]:
     """Annulus-safe default polyline: radial leg then a chorded arc."""
     nodes = _path_nodes(z0, z1, 17)
     keep = [complex(nodes[0])]
@@ -413,7 +413,7 @@ def w_from_h(
     results = []
     for target in np.atleast_1d(np.asarray(targets, dtype=complex)):
         if via is None:
-            vertices = _polyline(planar, z0, complex(target))
+            vertices = _polyline(z0, complex(target))
         else:
             vertices = [z0, *map(complex, via), complex(target)]
         state = np.sqrt(q0)

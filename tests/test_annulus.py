@@ -51,6 +51,13 @@ class TestCircleFunction:
         assert abs(d.coeff(2) - 2j * (1.0 + 1.0j)) < 1e-15
         assert abs(d.coeff(-3) + 1.5j) < 1e-15
 
+    def test_nyquist_mode_is_split_evenly(self):
+        # 1 + 0.3 cos 4 theta on 8 nodes: mode 4 is the Nyquist mode, and the
+        # real samples must give a real function that is exact between nodes.
+        cf = CircleFunction.from_samples(1.0 + 0.3 * np.cos(4.0 * thetas(8)))
+        assert cf.realness_error() < 1e-15
+        assert abs(cf.sample(0.1)[0] - (1.0 + 0.3 * np.cos(0.4))) < 1e-15
+
     def test_realness_error(self):
         real = CircleFunction.from_dict({1: 1.0 + 2.0j, -1: 1.0 - 2.0j, 0: 3.0})
         assert real.realness_error() < 1e-15

@@ -19,8 +19,9 @@ from maxsurf.interpolation import (
     search_r0,
     series_residuals,
     spacelike_margin,
+    surface_from_modified,
 )
-from maxsurf.surface import special_singularity_check
+from maxsurf.surface import conformality_residual, special_singularity_check
 
 
 def circle_curve(planar_coeff, height_const):
@@ -71,12 +72,13 @@ class TestModifiedCoefficients:
             modified_coeffs(family_curve(2.0), 1.0)
 
     def test_rejects_complex_height(self):
-        curve = SpacelikeCurve(
-            CircleFunction.from_dict({1: 1.0}),
-            CircleFunction.from_dict({0: 1.0j}),
-        )
-        with pytest.raises(InterpolationError, match="not real"):
-            modified_coeffs(curve, 2.0)
+        for height in ({0: 1.0j}, {0: 1.0, 1: 0.1j}):
+            curve = SpacelikeCurve(
+                CircleFunction.from_dict({1: 1.0}),
+                CircleFunction.from_dict(height),
+            )
+            with pytest.raises(InterpolationError, match="not real"):
+                modified_coeffs(curve, 2.0)
 
 
 class TestResiduals:
@@ -95,6 +97,45 @@ class TestResiduals:
         residuals, zero_mode = series_residuals(mc)
         assert abs(zero_mode) < 1e-14
         assert max(abs(v) for v in residuals.values()) < 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 16), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    def test_modes_match_the_conformality_residual(self, K, r0, seed):
+        # On |z| = 1 the candidate surface is constant, so its radial field is
+        # P_r = 2 z h_z, H_r = 2 z w_z and |P_r|^2 - H_r^2 = 4 z^2 times the
+        # conformality residual: an evaluation route independent of the FFT.
+        rng = np.random.default_rng(seed)
+        n = np.arange(-K, K + 1)
+
+        def random_modes():
+            return 10.0 ** rng.uniform(-6.0, 0.0, n.size) * np.exp(
+                2j * np.pi * rng.uniform(size=n.size)
+            )
+
+        height = random_modes()
+        height = 0.5 * (height + np.conj(height[::-1]))  # a real function
+        # Modes at or above 1e-6 keep the estimated annulus around |z| = 1.
+        height[np.abs(height) < 1e-6] = 1e-6
+        curve = SpacelikeCurve(CircleFunction(random_modes()), CircleFunction(height))
+        M = 1 << (4 * K).bit_length()
+        z = np.exp(2j * np.pi * np.arange(M) / M)
+        for r in (r0, 1.0 / r0):
+            mc = modified_coeffs(curve, r)
+            surface = surface_from_modified(mc)
+            product = 4.0 * z**2 * conformality_residual(surface, z)
+            expected = np.fft.fft(product, norm="forward")
+            residuals, zero_mode = series_residuals(mc)
+            scale = (
+                np.sum(4.0 * n**2 * (np.abs(mc.planar) ** 2 + np.abs(mc.height) ** 2))
+                + abs(mc.log_planar) ** 2
+                + mc.log_height**2
+            )
+            assert sorted(residuals) == [k for k in range(-2 * K, 2 * K + 1) if k]
+            assert abs(zero_mode - expected[0]) <= 1e-12 * scale
+            for k, v in residuals.items():
+                assert abs(v - expected[k % M]) <= 1e-12 * scale, k
+            # Modes beyond 2K are absent from the product.
+            assert np.all(np.abs(expected[2 * K + 1 : M - 2 * K]) <= 1e-12 * scale)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))

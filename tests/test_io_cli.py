@@ -146,6 +146,50 @@ class TestCli:
         bad.write_text("nope")
         assert cli.main(["validate", "--spec", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "kind, defect",
+        [
+            pytest.param("surface", "shape 1 0.5 0 -0.5 0", id="unknown-tag"),
+            pytest.param("surface", "planar 2 0.5", id="short-line"),
+            pytest.param("surface", "planar 2 0.5 zero 0 0", id="non-numeric-field"),
+            pytest.param("surface", "planar 2 nan 0 0 0", id="nan-coefficient"),
+            pytest.param("surface", "planar 0 0 0 1 0", id="nonzero-b0"),
+            pytest.param("surface", "planar.annulus 2 3", id="annulus-misses-unit-circle"),
+            pytest.param("spec", {"planar": {"fourier": [["one", 1.0, 0.0]]}},
+                         id="non-numeric-mode"),
+            pytest.param("spec", {"planar": {"fourier": [[1, "x", 0.0]]}},
+                         id="non-numeric-value"),
+            pytest.param("spec", {"planar": {"fourier": [[1, float("nan"), 0.0]]}},
+                         id="nan-value"),
+            pytest.param("spec", {"expected_r0": "x"}, id="non-numeric-expected-r0"),
+        ],
+    )
+    def test_malformed_inputs_exit_3(self, tmp_path, capsys, kind, defect):
+        if kind == "surface":
+            text = (
+                "maxsurf-coefficients 1\n"
+                "planar.annulus 0 inf\n"
+                "planar 1 0.5 0 -0.5 0\n"
+                "height.log 1 0\n"
+            )
+            good = tmp_path / "good.surface.txt"
+            good.write_text(text)
+            fileio.load_surface(str(good))
+            path = tmp_path / "bad.surface.txt"
+            path.write_text(text + defect + "\n")
+            argv = ["singular-set", "--surface", str(path),
+                    "--out", str(tmp_path / "s.csv")]
+        else:
+            spec = {
+                "kind": "curve",
+                "planar": {"fourier": [[1, 1.0, 0.0]]},
+                "height": {"fourier": [[0, 1.0, 0.0]]},
+                **defect,
+            }
+            argv = ["validate", "--spec", write_json(tmp_path / "c.json", spec)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("parse error:")
+
     def test_solve_bjorling(self, catenoid_bjorling_spec, tmp_path):
         out = str(tmp_path / "cat")
         assert cli.main(
