@@ -251,12 +251,14 @@ class HarmonicOnAnnulus:
 
     def _check_domain(self, z: np.ndarray):
         az = np.abs(z)
-        if np.any(az <= self.inner_radius) or np.any(az >= self.outer_radius):
+        # One reduction; NaN fails both comparisons, and inner >= 0 keeps
+        # the origin out.
+        if not np.all((az > self.inner_radius) & (az < self.outer_radius)):
+            if np.any(az == 0.0):
+                raise DomainError("the origin is never in the domain")
             raise DomainError(
                 f"point outside annulus ({self.inner_radius}, {self.outer_radius})"
             )
-        if np.any(az == 0.0):
-            raise DomainError("the origin is never in the domain")
 
     def _prepare(self, z):
         arr = np.asarray(z, dtype=complex)

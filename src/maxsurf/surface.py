@@ -17,7 +17,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .annulus import DomainError, HarmonicOnAnnulus
 
@@ -143,6 +142,59 @@ def is_degenerate(planar: HarmonicOnAnnulus, grid=None, tol: float = DEGENERACY_
 
 # -- singular set -----------------------------------------------------------
 
+# scipy.optimize.bisect's relative tolerance.
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
+
+# Points x modes per batched derivative call; bounds the mode matrices.
+_BATCH_ENTRIES = 1 << 20
+
+
+def _bisect_brackets(f, a, b, fa, xtol: float, maxiter: int = 100) -> np.ndarray:
+    """Bisect every bracket [a[k], b[k]] (f(a) f(b) < 0) at once.
+
+    ``f(x, k)`` is bracket k[j]'s function at x[j], called once per halving
+    on the open brackets; ``fa`` = f(a).  Each bracket takes the steps of
+    scipy.optimize.bisect: halve dm, try xm = a + dm, move a there when
+    f(xm) f(a) >= 0, and return xm once f(xm) = 0 or |dm| < xtol + 4 eps |xm|.
+    A NaN value, or a bracket open after ``maxiter`` halvings, raises
+    ValueError.
+    """
+    xa = np.array(a, dtype=float)
+    dm = np.asarray(b, dtype=float) - xa
+    fa = np.asarray(fa, dtype=float)
+    live = np.arange(len(xa))
+    roots = np.empty(len(xa))
+    for _ in range(maxiter):
+        if not len(live):
+            break
+        dm = 0.5 * dm
+        xm = xa + dm
+        fm = np.asarray(f(xm, live), dtype=float)
+        if np.any(np.isnan(fm)):
+            raise ValueError(f"the function value at x={xm[np.isnan(fm)][0]} is NaN")
+        xa = np.where(fm * fa >= 0.0, xm, xa)
+        done = (fm == 0.0) | (np.abs(dm) < xtol + _BISECT_RTOL * np.abs(xm))
+        roots[live[done]] = xm[done]
+        xa, dm, fa, live = xa[~done], dm[~done], fa[~done], live[~done]
+    if len(live):
+        raise ValueError(f"bisection did not converge after {maxiter} halvings")
+    return roots
+
+
+def _residual_at(surface: MaximalSurface, z: np.ndarray) -> np.ndarray:
+    """singularity_residual at many points, each point as its own row.
+
+    A column of points makes each series value a row-by-coefficients
+    product, rounded as in a one-point call and not as in the scan's matrix
+    product; the confirm step relies on that.  Calls are of bounded size.
+    """
+    step = max(1, _BATCH_ENTRIES // (2 * surface.planar.truncation + 1))
+    parts = [
+        singularity_residual(surface, z[i : i + step, None]).ravel()
+        for i in range(0, len(z), step)
+    ]
+    return np.concatenate(parts) if parts else np.empty(0)
+
 
 def singular_set(
     surface: MaximalSurface,
@@ -154,50 +206,64 @@ def singular_set(
 ) -> list[SingularPoint]:
     """Roots of rho -> |planar_z|^2 - |planar_zbar|^2 along each ray.
 
-    Sign changes are refined by bisection; zeros the scan cannot bracket
-    (the residual touches zero without crossing, or vanishes on a whole
-    sub-interval) are reported once per below-tolerance run with the
-    ``tangential`` flag set.
+    Each ray is scanned at ``subdivisions + 1`` radii.  The ends of every
+    sign-change cell of every ray are re-evaluated together; the cells that
+    still straddle zero are refined by one batched bisection, which takes
+    scipy.optimize.bisect's steps on each bracket and evaluates all open
+    midpoints in one call per halving.
+
+    Zeros the scan cannot bracket (the residual touches zero without
+    crossing, or vanishes on a whole sub-interval) are reported once per
+    below-tolerance run with the ``tangential`` flag set.
     """
     lo, hi = rho_bracket
     if not (surface.inner_radius < lo < hi < surface.outer_radius):
         raise DomainError("rho bracket must lie inside the annulus")
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    spins = np.exp(1j * thetas)
     rhos = np.linspace(lo, hi, subdivisions + 1)
-    found: list[SingularPoint] = []
-    for theta in np.atleast_1d(np.asarray(thetas, dtype=float)):
-        ray = rhos * np.exp(1j * theta)
-        f = np.asarray(singularity_residual(surface, ray), dtype=float)
+    scan = np.array(
+        [singularity_residual(surface, rhos * spin) for spin in spins], dtype=float
+    ).reshape(len(thetas), subdivisions + 1)
 
-        def f_at(rho, _theta=theta):
-            return float(singularity_residual(surface, rho * np.exp(1j * _theta)))
+    # Near-tangential zeros can flip sign between the scan and a second
+    # evaluation; only a confirmed straddle is worth bisecting, the run
+    # detector below catches the rest.
+    ray, cell = np.nonzero(scan[:, :-1] * scan[:, 1:] < 0.0)
+    ends = np.concatenate([rhos[cell], rhos[cell + 1]]) * np.tile(spins[ray], 2)
+    fa, fb = np.split(_residual_at(surface, ends), 2)
+    straddle = fa * fb < 0.0
+    ray, cell, fa = ray[straddle], cell[straddle], fa[straddle]
+    roots = _bisect_brackets(
+        lambda x, k: _residual_at(surface, x * spins[ray[k]]),
+        rhos[cell], rhos[cell + 1], fa, xtol,
+    )
 
-        roots = []
-        for i in range(subdivisions):
-            if f[i] * f[i + 1] < 0.0:
-                # Near-tangential zeros can flip sign between the vectorized
-                # scan and scalar re-evaluation; only a confirmed straddle is
-                # worth bisecting, the run detector below catches the rest.
-                if f_at(rhos[i]) * f_at(rhos[i + 1]) < 0.0:
-                    roots.append(bisect(f_at, rhos[i], rhos[i + 1], xtol=xtol))
-        for rho in roots:
-            found.append(SingularPoint(float(theta), float(rho), abs(f_at(rho)), False))
+    # Tangential zeros: maximal runs of |f| below tolerance that contain no
+    # bracketed root get one flagged representative at the run center.
+    below = np.abs(scan) < residual_tol
+    edge = np.diff(np.pad(below, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    run_ray, first = np.nonzero(edge == 1)
+    last = np.nonzero(edge == -1)[1] - 1
+    # Roots come out ordered by ray, then radius.
+    ray_lo = np.searchsorted(ray, run_ray, side="left")
+    ray_hi = np.searchsorted(ray, run_ray, side="right")
+    bare = np.array(
+        [
+            not np.any((rhos[i] - xtol <= roots[s:e]) & (roots[s:e] <= rhos[j] + xtol))
+            for i, j, s, e in zip(first, last, ray_lo, ray_hi)
+        ],
+        dtype=bool,
+    )
+    mids = 0.5 * (rhos[first[bare]] + rhos[last[bare]])
 
-        # Tangential zeros: maximal runs of |f| below tolerance that contain
-        # no bracketed root get one flagged representative at the run center.
-        below = np.abs(f) < residual_tol
-        i = 0
-        while i <= subdivisions:
-            if not below[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 <= subdivisions and below[j + 1]:
-                j += 1
-            run_lo, run_hi = rhos[i], rhos[j]
-            if not any(run_lo - xtol <= r <= run_hi + xtol for r in roots):
-                mid = 0.5 * (run_lo + run_hi)
-                found.append(SingularPoint(float(theta), float(mid), abs(f_at(mid)), True))
-            i = j + 1
+    point_ray = np.concatenate([ray, run_ray[bare]])
+    point_rho = np.concatenate([roots, mids])
+    residual = np.abs(_residual_at(surface, point_rho * spins[point_ray]))
+    found = [
+        SingularPoint(float(thetas[r]), float(rho), float(res), k >= len(roots))
+        for k, (r, rho, res) in enumerate(zip(point_ray, point_rho, residual))
+    ]
     found.sort(key=lambda p: (p.theta, p.rho))
     return found
 

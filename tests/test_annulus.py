@@ -126,6 +126,16 @@ class TestHarmonicOnAnnulus:
         with pytest.raises(DomainError):
             h.eval(0.0)
 
+    def test_nan_points_and_the_origin_are_outside_the_domain(self):
+        # The catenoid's planar part has the sentinel annulus (0, inf).
+        h = HarmonicOnAnnulus.from_modes(holo={1: 0.5}, antiholo={1: -0.5})
+        for z in (np.nan, complex(np.nan, 1.0), np.array([np.nan, 1.0])):
+            for method in (h.eval, h.d_z, h.d_zbar):
+                with pytest.raises(DomainError):
+                    method(z)
+        with pytest.raises(DomainError, match="origin"):
+            h.d_z(np.array([1.0, 0.0]))
+
     def test_catenoid_values(self):
         h = HarmonicOnAnnulus.from_modes(holo={1: 0.5}, antiholo={1: -0.5})
         assert h.eval(2.0) == pytest.approx(0.75)

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import maxsurf
 from maxsurf import cli, fileio
 from maxsurf.annulus import HarmonicOnAnnulus
 from maxsurf.surface import MaximalSurface
@@ -323,3 +327,31 @@ class TestCli:
             (tmp_path / "b.surface.txt").read_bytes()
         assert (tmp_path / "a.report.json").read_bytes() == \
             (tmp_path / "b.report.json").read_bytes()
+        for out in (out_a, out_b):
+            assert cli.main(
+                ["singular-set", "--surface", out + ".surface.txt", "--out",
+                 out + ".singular.csv", "--angles", "64"]
+            ) == 0
+        assert (tmp_path / "a.singular.csv").read_bytes() == \
+            (tmp_path / "b.singular.csv").read_bytes()
+
+    def test_runtime_does_not_import_scipy(self, catenoid, tmp_path):
+        surface_file = str(tmp_path / "cat.surface.txt")
+        fileio.save_surface(catenoid, surface_file)
+        code = (
+            "import sys\n"
+            "import maxsurf\n"
+            "from maxsurf import cli\n"
+            f"argv = ['singular-set', '--surface', {surface_file!r},"
+            f" '--out', {str(tmp_path / 'sing.csv')!r}]\n"
+            "assert cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(maxsurf.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, check=True,
+        )
+        assert result.stdout.strip() == "[]"
+        assert len((tmp_path / "sing.csv").read_text().splitlines()) == 1 + 64

@@ -1,11 +1,17 @@
 """Conformality, singular sets, normals, and height recovery."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import bisect
 
 from maxsurf.annulus import DomainError, HarmonicOnAnnulus
+from maxsurf.bjorling import solve
+from maxsurf.interpolation import build_surface, family_curve
 from maxsurf.surface import (
     POINT_AT_INFINITY,
+    SINGULAR_TOL,
     BranchPointError,
     MaximalSurface,
     Region,
@@ -23,7 +29,10 @@ from maxsurf.surface import (
     singularity_residual,
     special_singularity_check,
     w_from_h,
+    _bisect_brackets,
 )
+
+from conftest import random_valid_data
 
 
 class TestPointwiseQuantities:
@@ -96,6 +105,90 @@ class TestSingularSet:
         hit_angles = {round(p.theta, 12) for p in pts}
         assert hit_angles == {round(np.pi / 2, 12), round(3 * np.pi / 2, 12)}
         assert all(p.residual < 1e-9 for p in pts)
+
+    @staticmethod
+    def scalar_singular_set(surface, thetas, rho_bracket, xtol=1e-10):
+        """Reference: per-ray scan, scalar check of each cell's ends, scipy bisect."""
+        rhos = np.linspace(*rho_bracket, 257)
+        found = []
+        for theta in thetas:
+            def f_at(rho):
+                return float(singularity_residual(surface, rho * np.exp(1j * theta)))
+
+            f = singularity_residual(surface, rhos * np.exp(1j * theta))
+            roots = [bisect(f_at, rhos[i], rhos[i + 1], xtol=xtol) for i in range(256)
+                     if f[i] * f[i + 1] < 0.0 and f_at(rhos[i]) * f_at(rhos[i + 1]) < 0.0]
+            found += [(theta, rho, abs(f_at(rho)), False) for rho in roots]
+            i = 0
+            for below, run in itertools.groupby(np.abs(f) < SINGULAR_TOL):
+                j = i + len(list(run)) - 1
+                if below and not any(rhos[i] - xtol <= r <= rhos[j] + xtol for r in roots):
+                    mid = 0.5 * (rhos[i] + rhos[j])
+                    found.append((theta, mid, abs(f_at(mid)), True))
+                i = j + 1
+        return sorted(found, key=lambda p: p[:2])
+
+    def test_batched_refinement_matches_scalar_bisection(self, catenoid, exp_planar):
+        rng = np.random.default_rng(404)
+        surfaces = [
+            catenoid,
+            MaximalSurface(exp_planar, HarmonicOnAnnulus.from_modes()),
+            build_surface(family_curve(2.0), 2.0),
+            *(solve(random_valid_data(rng)) for _ in range(20)),
+        ]
+        th = 2.0 * np.pi * np.arange(64) / 64
+        for surface in surfaces:
+            got = singular_set(surface, th, (0.4, 2.5))
+            want = self.scalar_singular_set(surface, th, (0.4, 2.5))
+            assert len(got) == len(want)
+            for p, (theta, rho, residual, tangential) in zip(got, want):
+                assert (p.theta, p.tangential) == (theta, tangential)
+                assert abs(p.rho - rho) <= 1e-9
+                assert abs(p.residual - residual) <= 1e-9
+
+
+class TestBatchedBisection:
+    @staticmethod
+    def cubic(x, root, scale):
+        d = x - root
+        return scale * d * (1.0 + d * d)
+
+    def test_roots_match_scipy_bisect(self):
+        rng = np.random.default_rng(505)
+        count = 300
+        a = rng.uniform(-2.0, 1.0, count)
+        b = a + rng.uniform(1e-3, 3.0, count)
+        root = a + rng.uniform(0.0, 1.0, count) * (b - a)
+        scale = rng.choice([-1.0, 1.0], count) * np.exp(rng.uniform(-5.0, 5.0, count))
+        # A root on the first midpoint stops with f(xm) == 0.
+        a[0], b[0], root[0] = 0.0, 2.0, 1.0
+        for xtol in (1e-10, 2e-12):
+            got = _bisect_brackets(
+                lambda x, k: self.cubic(x, root[k], scale[k]),
+                a, b, self.cubic(a, root, scale), xtol,
+            )
+            want = [
+                bisect(self.cubic, a[k], b[k], args=(root[k], scale[k]), xtol=xtol)
+                for k in range(count)
+            ]
+            assert got.tolist() == want
+
+    def test_nan_value_raises(self):
+        def f(x, k):
+            return np.where(k == 1, np.nan, x - 0.3)
+
+        with pytest.raises(ValueError, match="NaN"):
+            _bisect_brackets(f, [0.0, 0.0], [1.0, 1.0], [-0.3, -0.3], 1e-10)
+
+    def test_open_bracket_after_maxiter_raises(self):
+        def f(x, k):
+            return x - 0.3
+
+        with pytest.raises(ValueError, match="did not converge"):
+            _bisect_brackets(f, [0.0], [1.0], [-0.3], 1e-10, maxiter=5)
+        assert _bisect_brackets(f, [0.0], [1.0], [-0.3], 1e-10).tolist() == [
+            bisect(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-10)
+        ]
 
 
 class TestNormalAndGauss:
