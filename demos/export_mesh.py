@@ -11,9 +11,7 @@ The same result is available from the command line:
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from maxsurf.annulus import HarmonicOnAnnulus
+from maxsurf.annulus import HarmonicOnAnnulus, circle_angles
 from maxsurf.fileio import export_mesh, save_surface, write_singular_csv
 from maxsurf.surface import MaximalSurface, singular_set
 
@@ -26,8 +24,7 @@ out = Path(tempfile.mkdtemp(prefix="maxsurf-demo-"))
 save_surface(surface, str(out / "catenoid.surface.txt"))
 export_mesh(surface, str(out / "catenoid.mesh.txt"), n_theta=64, n_rho=32)
 
-thetas = 2.0 * np.pi * np.arange(64) / 64
-points = singular_set(surface, thetas, (0.4, 2.5))
+points = singular_set(surface, circle_angles(64), (0.4, 2.5))
 write_singular_csv(str(out / "catenoid.singular.csv"), points)
 
 for name in ("catenoid.surface.txt", "catenoid.mesh.txt", "catenoid.singular.csv"):

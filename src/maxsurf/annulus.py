@@ -37,6 +37,25 @@ def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
+def _centered(coeffs: np.ndarray, kmax: int) -> np.ndarray:
+    """Modes -kmax..kmax of a centered coefficient array, zero-padded or truncated."""
+    k = (len(coeffs) - 1) // 2
+    lo = min(kmax, k)
+    out = np.zeros(2 * kmax + 1, dtype=complex)
+    out[kmax - lo : kmax + lo + 1] = coeffs[k - lo : k + lo + 1]
+    return out
+
+
+def circle_angles(n: int) -> np.ndarray:
+    """The n equispaced angles 2 pi k / n, k = 0..n-1: the trapezoidal nodes."""
+    return 2.0 * np.pi * np.arange(n) / n
+
+
+def polar_grid(radii, n_theta: int) -> np.ndarray:
+    """Points rho e^{i theta}: one row per radius, one column per circle angle."""
+    return np.outer(radii, np.exp(1j * circle_angles(n_theta)))
+
+
 @dataclass(frozen=True)
 class CircleFunction:
     """A periodic function of the angle, held as Fourier coefficients.
@@ -95,12 +114,7 @@ class CircleFunction:
 
     def coeff_array(self, kmax: int) -> np.ndarray:
         """Coefficients for modes -kmax..kmax, zero-padded or truncated."""
-        out = np.zeros(2 * kmax + 1, dtype=complex)
-        lo = min(kmax, self.max_mode)
-        out[kmax - lo : kmax + lo + 1] = self.coeffs[
-            self.max_mode - lo : self.max_mode + lo + 1
-        ]
-        return out
+        return _centered(self.coeffs, kmax)
 
     def sample(self, thetas) -> np.ndarray:
         th = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -140,8 +154,7 @@ def fourier_analyze(samples, radius: float = 1.0) -> CircleFunction:
 
 def fourier_synthesize(cf: CircleFunction, count: int) -> np.ndarray:
     """Evaluate a coefficient-form function on ``count`` equispaced angles."""
-    thetas = 2.0 * np.pi * np.arange(count) / count
-    return cf.sample(thetas)
+    return cf.sample(circle_angles(count))
 
 
 def _side_decay_radius(mags: np.ndarray) -> float | None:
@@ -299,8 +312,8 @@ class HarmonicOnAnnulus:
 
     def __add__(self, other: "HarmonicOnAnnulus") -> "HarmonicOnAnnulus":
         n = max(self.truncation, other.truncation)
-        a = _pad(self.holo, n) + _pad(other.holo, n)
-        b = _pad(self.antiholo, n) + _pad(other.antiholo, n)
+        a = _centered(self.holo, n) + _centered(other.holo, n)
+        b = _centered(self.antiholo, n) + _centered(other.antiholo, n)
         c = self.log_coeff + other.log_coeff
         inner, outer = estimate_annulus(a, b)
         return HarmonicOnAnnulus(a, b, c, inner, outer)
@@ -311,11 +324,4 @@ class HarmonicOnAnnulus:
         return HarmonicOnAnnulus(
             a, self.antiholo, self.log_coeff, self.inner_radius, self.outer_radius
         )
-
-
-def _pad(arr: np.ndarray, n: int) -> np.ndarray:
-    k = (len(arr) - 1) // 2
-    out = np.zeros(2 * n + 1, dtype=complex)
-    out[n - k : n + k + 1] = arr
-    return out
 

@@ -17,6 +17,7 @@ from .annulus import (
     DEFAULT_TRUNCATION,
     CircleFunction,
     HarmonicOnAnnulus,
+    circle_angles,
     estimate_annulus,
 )
 from .surface import (
@@ -99,7 +100,7 @@ class ValidationReport:
 
 
 def _boundary_fields(data: BjorlingData, n_samples: int):
-    thetas = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    thetas = circle_angles(n_samples)
     tangent_planar = data.curve_planar.derivative().sample(thetas)
     tangent_height = np.real(data.curve_height.derivative().sample(thetas))
     radial_planar = data.radial_planar.sample(thetas)
@@ -283,16 +284,15 @@ def boundary_reproduction_errors(
     surface: MaximalSurface, data: BjorlingData, n_samples: int = 256
 ) -> tuple[float, float]:
     """Sup errors of the surface and its radial derivative on the unit circle."""
-    thetas = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    thetas = circle_angles(n_samples)
     circle = np.exp(1j * thetas)
     curve_err = max(
         float(np.max(np.abs(surface.planar.eval(circle) - data.curve_planar.sample(thetas)))),
         float(np.max(np.abs(surface.height.eval(circle) - data.curve_height.sample(thetas)))),
     )
-    phase = np.exp(1j * thetas)
 
     def radial(h):
-        return phase * h.d_z(circle) + np.conj(phase) * h.d_zbar(circle)
+        return circle * h.d_z(circle) + np.conj(circle) * h.d_zbar(circle)
 
     radial_err = max(
         float(np.max(np.abs(radial(surface.planar) - data.radial_planar.sample(thetas)))),

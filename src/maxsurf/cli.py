@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import bjorling, fileio, interpolation
-from .annulus import DEFAULT_TRUNCATION
+from .annulus import DEFAULT_TRUNCATION, circle_angles, polar_grid
 from .surface import (
     DegenerateSurfaceError,
     Region,
@@ -57,15 +57,11 @@ def _load_config(path_from_flag: str | None) -> dict:
     return config
 
 
-def _spec(path: str) -> fileio.CurveSpec:
-    return fileio.load_curve_spec(path)
-
-
 # -- subcommands ------------------------------------------------------------
 
 
 def cmd_validate(args, config) -> int:
-    spec = _spec(args.spec)
+    spec = fileio.load_curve_spec(args.spec)
     if spec.kind == "bjorling":
         report = bjorling.validate(spec.as_bjorling(), tol=config["constraint_tol"])
         payload = {"kind": "bjorling", "label": spec.label, "validation": report.as_dict()}
@@ -86,7 +82,7 @@ def cmd_validate(args, config) -> int:
 
 
 def cmd_solve_bjorling(args, config) -> int:
-    spec = _spec(args.spec)
+    spec = fileio.load_curve_spec(args.spec)
     data = spec.as_bjorling()
     try:
         surface = bjorling.solve(
@@ -124,7 +120,7 @@ def cmd_solve_bjorling(args, config) -> int:
 
 
 def cmd_interpolate(args, config) -> int:
-    spec = _spec(args.spec)
+    spec = fileio.load_curve_spec(args.spec)
     curve = spec.as_curve()
     margin = interpolation.spacelike_margin(curve)
     if margin <= interpolation.SPACELIKE_MARGIN:
@@ -179,28 +175,25 @@ def cmd_sample(args, config) -> int:
     else:
         fileio.export_point_cloud(surface, args.out, n_theta, n_rho, rho_range)
     if args.singular_sidecar:
-        thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        points = singular_set(surface, thetas, rho_range)
+        points = singular_set(surface, circle_angles(n_theta), rho_range)
         fileio.write_singular_csv(args.singular_sidecar, points)
     return EXIT_OK
 
 
 def cmd_singular_set(args, config) -> int:
     surface = fileio.load_surface(args.surface)
-    thetas = 2.0 * np.pi * np.arange(args.angles) / args.angles
-    points = singular_set(surface, thetas, tuple(args.rho_range))
+    points = singular_set(surface, circle_angles(args.angles), tuple(args.rho_range))
     fileio.write_singular_csv(args.out, points)
     return EXIT_OK
 
 
 def cmd_gauss_map(args, config) -> int:
     surface = fileio.load_surface(args.surface)
-    thetas = 2.0 * np.pi * np.arange(args.grid[0]) / args.grid[0]
+    thetas = circle_angles(args.grid[0])
     radii = np.geomspace(args.rho_range[0], args.rho_range[1], args.grid[1])
     lines = ["theta,rho,region,nu_re,nu_im"]
-    for rho in radii:
-        for th in thetas:
-            z = rho * np.exp(1j * th)
+    for rho, ring in zip(radii, polar_grid(radii, args.grid[0])):
+        for th, z in zip(thetas, ring):
             region = classify_point(surface, z)
             if region is Region.SINGULAR:
                 lines.append(f"{th:.17g},{rho:.17g},singular,nan,nan")

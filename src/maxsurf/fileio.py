@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import COEFF_FLOOR, CircleFunction, HarmonicOnAnnulus
+from .annulus import COEFF_FLOOR, CircleFunction, HarmonicOnAnnulus, circle_angles, polar_grid
 from .bjorling import BjorlingData
 from .interpolation import SpacelikeCurve
 from .surface import MaximalSurface, SingularPoint
@@ -208,6 +208,19 @@ def write_report(path: str, payload: dict):
 # -- mesh / point-cloud export ---------------------------------------------
 
 
+def _sample_grid(surface: MaximalSurface, n_theta: int, n_rho: int, rho_range):
+    """Flat (theta, rho, x, y, t) over the log-spaced export grid, radius-major."""
+    lo, hi = rho_range
+    if not (surface.inner_radius < lo < hi < surface.outer_radius):
+        raise ValueError("rho range must lie inside the annulus")
+    radii = np.geomspace(lo, hi, n_rho)
+    grid = polar_grid(radii, n_theta).ravel()
+    p = surface.planar.eval(grid)
+    t = np.real(surface.height.eval(grid))
+    thetas = np.tile(circle_angles(n_theta), n_rho)
+    return thetas, np.repeat(radii, n_theta), np.real(p), np.imag(p), t
+
+
 def export_mesh(
     surface: MaximalSurface,
     path: str,
@@ -220,17 +233,8 @@ def export_mesh(
     Vertex lines are "v x y t", faces "f i j k" with 1-based indices; the
     mesh closes in the angular direction.
     """
-    lo, hi = rho_range
-    if not (surface.inner_radius < lo < hi < surface.outer_radius):
-        raise ValueError("rho range must lie inside the annulus")
-    radii = np.geomspace(lo, hi, n_rho)
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    grid = np.outer(radii, np.exp(1j * thetas))
-    p = surface.planar.eval(grid.ravel())
-    t = np.real(surface.height.eval(grid.ravel()))
-    lines = []
-    for x, y, h in zip(np.real(p), np.imag(p), t):
-        lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(h)}")
+    _, _, xs, ys, ts = _sample_grid(surface, n_theta, n_rho, rho_range)
+    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(t)}" for x, y, t in zip(xs, ys, ts)]
     for i in range(n_rho - 1):
         for j in range(n_theta):
             j2 = (j + 1) % n_theta
@@ -252,18 +256,9 @@ def export_point_cloud(
     rho_range: tuple[float, float] = (0.4, 2.5),
 ):
     """CSV point cloud: theta,rho,x,y,t — one row per grid point."""
-    lo, hi = rho_range
-    if not (surface.inner_radius < lo < hi < surface.outer_radius):
-        raise ValueError("rho range must lie inside the annulus")
-    radii = np.geomspace(lo, hi, n_rho)
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     lines = ["theta,rho,x,y,t"]
-    for rho in radii:
-        z = rho * np.exp(1j * thetas)
-        p = surface.planar.eval(z)
-        t = np.real(surface.height.eval(z))
-        for th, x, y, h in zip(thetas, np.real(p), np.imag(p), t):
-            lines.append(f"{_fmt(th)},{_fmt(rho)},{_fmt(x)},{_fmt(y)},{_fmt(h)}")
+    for row in zip(*_sample_grid(surface, n_theta, n_rho, rho_range)):
+        lines.append(",".join(map(_fmt, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import COEFF_FLOOR, CircleFunction, HarmonicOnAnnulus, estimate_annulus
+from .annulus import CircleFunction, HarmonicOnAnnulus, circle_angles, estimate_annulus
 from .surface import (
     MaximalSurface,
     conformality_residual,
@@ -56,7 +56,7 @@ class SpacelikeCurve:
 
 def spacelike_margin(curve: SpacelikeCurve, n_samples: int = 256) -> float:
     """min over the curve of |planar tangent|^2 - (height tangent)^2."""
-    thetas = 2.0 * np.pi * np.arange(n_samples) / n_samples
+    thetas = circle_angles(n_samples)
     dp = curve.planar.derivative().sample(thetas)
     dh = np.real(curve.height.derivative().sample(thetas))
     return float(np.min(np.abs(dp) ** 2 - dh**2))
@@ -249,7 +249,7 @@ def build_surface(
         )
     surface = surface_from_modified(modified_coeffs(curve, r0))
 
-    thetas = 2.0 * np.pi * np.arange(256) / 256
+    thetas = circle_angles(256)
     circle = np.exp(1j * thetas)
     origin_spread = max(
         float(np.max(np.abs(surface.planar.eval(circle)))),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import DomainError, HarmonicOnAnnulus
+from .annulus import DomainError, HarmonicOnAnnulus, circle_angles, polar_grid
 
 SINGULAR_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
@@ -35,7 +35,7 @@ class SingularPointError(ValueError):
 
 
 class BranchPointError(ValueError):
-    """Square-root integrand vanishes on the integration path."""
+    """A square-root branch vanishes, or does not settle, along the path."""
 
 
 class DegenerateSurfaceError(ValueError):
@@ -76,7 +76,7 @@ def evaluate(surface: MaximalSurface, z):
     """Map a parameter point to (complex coordinate, real height)."""
     p = surface.planar.eval(z)
     w = surface.height.eval(z)
-    if np.isscalar(p) or isinstance(p, complex):
+    if np.isscalar(p):
         return p, float(np.real(w))
     return p, np.real(w)
 
@@ -124,9 +124,7 @@ def grid_radii(surface_or_harmonic, count: int = 16) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 def grid_points(surface_or_harmonic, n_theta: int = 64, n_rho: int = 16) -> np.ndarray:
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    radii = grid_radii(surface_or_harmonic, n_rho)
-    return np.outer(radii, np.exp(1j * thetas)).ravel()
+    return polar_grid(grid_radii(surface_or_harmonic, n_rho), n_theta).ravel()
 
 
 # -- degeneracy -------------------------------------------------------------
@@ -283,18 +281,17 @@ def _path_nodes(z_from: complex, z_to: complex, per_leg: int) -> np.ndarray:
 
 
 def _track_signs(values: np.ndarray, start: complex) -> np.ndarray:
-    """Choose +/- sqrt along a path so the branch varies continuously."""
+    """Choose +/- sqrt along a path so the branch varies continuously.
+
+    The sign flips where Re(root_i conj(root_{i-1})) < 0, root_{-1} = start;
+    root i is negated when the flips up to i are odd in number.
+    """
     roots = np.sqrt(values)
-    if np.any(np.abs(values) < BRANCH_FLOOR):
+    if np.abs(values).min() < BRANCH_FLOOR:
         raise BranchPointError("square-root argument vanishes on the path")
-    out = np.empty_like(roots)
-    prev = start
-    for i, w in enumerate(roots):
-        if abs(w - prev) > abs(-w - prev):
-            w = -w
-        out[i] = w
-        prev = w
-    return out
+    before = np.concatenate(([start], roots[:-1]))
+    odd = np.logical_xor.accumulate((roots * before.conj()).real < 0.0)
+    return np.where(odd, -roots, roots)
 
 
 def _tracked_sqrt(fn, anchor: complex, z: complex, per_leg: int = 96) -> complex:
@@ -311,7 +308,7 @@ def _tracked_sqrt(fn, anchor: complex, z: complex, per_leg: int = 96) -> complex
             return end
         prev_val = end
         n *= 2
-    return prev_val
+    raise BranchPointError(f"square-root branch at {z} did not settle by {n // 2} nodes per leg")
 
 
 def _regular_anchor(surface: MaximalSurface, region: Region | None = None) -> complex:
@@ -384,21 +381,14 @@ def gauss_map(surface: MaximalSurface, z, tol: float = SINGULAR_TOL) -> complex:
     region = classify_point(surface, z, tol)
     if region is Region.SINGULAR:
         raise SingularPointError(f"{z} is a singular point")
-    planar = surface.planar
-    if region is Region.HOLO_DOMINANT:
-        num, den = planar.d_z(z), np.conj(planar.d_zbar(z))
-        sign = 1.0
+    top, bottom, sign = surface.planar.d_z, surface.planar.d_zbar, 1.0
+    if region is Region.ANTI_DOMINANT:
+        top, bottom, sign = bottom, top, -1.0
 
-        def ratio(p):
-            return planar.d_z(p) / np.conj(planar.d_zbar(p))
+    def ratio(p):
+        return top(p) / np.conj(bottom(p))
 
-    else:
-        num, den = planar.d_zbar(z), np.conj(planar.d_z(z))
-        sign = -1.0
-
-        def ratio(p):
-            return planar.d_zbar(p) / np.conj(planar.d_z(p))
-
+    num, den = top(z), np.conj(bottom(z))
     if abs(den) < BRANCH_FLOOR * (1.0 + abs(num)):
         return POINT_AT_INFINITY
     anchor = _regular_anchor(surface, region)
@@ -431,9 +421,11 @@ def _integrate_sqrt_segment(qfn, za, zb, s_start, tol=QUAD_TOL, max_depth=40):
         m = 0.5 * (a + b)
         left, s_mid = _panel(qfn, a, m, s0)
         right, s_end = _panel(qfn, m, b, s_mid)
-        if abs(coarse - (left + right)) <= tol or depth >= max_depth:
+        if abs(coarse - (left + right)) <= tol:
             total += left + right
             s_start = s_end
+        elif depth >= max_depth:
+            raise BranchPointError(f"quadrature did not reach {tol:.3g} in {max_depth} halvings")
         else:
             # Right half goes first onto the stack so the left half is
             # processed next, keeping the branch state in path order.
@@ -498,8 +490,7 @@ def special_singularity_check(
     surface: MaximalSurface, radius: float, tol: float = 1e-8, samples: int = 256
 ) -> bool:
     """True iff the circle |z| = radius maps to a single point and is singular."""
-    thetas = 2.0 * np.pi * np.arange(samples) / samples
-    circle = radius * np.exp(1j * thetas)
+    circle = radius * np.exp(1j * circle_angles(samples))
     p = surface.planar.eval(circle)
     w = np.real(surface.height.eval(circle))
     spread = max(

@@ -8,7 +8,7 @@ import pytest
 from maxsurf.annulus import CircleFunction, HarmonicOnAnnulus
 from maxsurf.bjorling import BjorlingData
 from maxsurf.interpolation import SpacelikeCurve
-from maxsurf.surface import MaximalSurface
+from maxsurf.surface import BRANCH_FLOOR, BranchPointError, MaximalSurface
 
 
 @pytest.fixture
@@ -81,3 +81,18 @@ def annulus_points(rng, count, lo=0.5, hi=2.0):
     """Random points in the closed-annulus sampling range [lo, hi]."""
     radii = np.exp(rng.uniform(np.log(lo), np.log(hi), count))
     return radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
+
+
+def loop_track_signs(values: np.ndarray, start: complex) -> np.ndarray:
+    """The scalar loop that surface._track_signs replaced: the reference."""
+    roots = np.sqrt(values)
+    if np.any(np.abs(values) < BRANCH_FLOOR):
+        raise BranchPointError("square-root argument vanishes on the path")
+    out = np.empty_like(roots)
+    prev = start
+    for i, w in enumerate(roots):
+        if abs(w - prev) > abs(-w - prev):
+            w = -w
+        out[i] = w
+        prev = w
+    return out

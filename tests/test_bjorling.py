@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maxsurf import bjorling
 from maxsurf.annulus import CircleFunction
 from maxsurf.bjorling import (
     BjorlingData,
@@ -17,7 +18,7 @@ from maxsurf.bjorling import (
 )
 from maxsurf.surface import DegenerateSurfaceError, MaximalSurface
 
-from conftest import random_valid_data
+from conftest import loop_track_signs, random_valid_data
 
 
 class TestValidate:
@@ -180,3 +181,12 @@ class TestBoundaryGauss:
         rng = np.random.default_rng(13)
         data = random_valid_data(rng)
         assert boundary_gauss(data).max_mismatch == 0.0
+
+    def test_matches_the_loop_tracker_bit_for_bit(self, monkeypatch):
+        cases = [random_valid_data(np.random.default_rng(seed)) for seed in range(50)]
+        fast = [boundary_gauss(data) for data in cases]
+        monkeypatch.setattr(bjorling, "_track_signs", loop_track_signs)
+        for got, data in zip(fast, cases):
+            want = boundary_gauss(data)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.max_mismatch == want.max_mismatch

@@ -127,6 +127,38 @@ class TestSurfaceFiles:
             fileio.load_surface(str(path))
 
 
+class TestExports:
+    WRITERS = [fileio.export_mesh, fileio.export_point_cloud]
+
+    @pytest.mark.parametrize("writer", WRITERS, ids=lambda w: w.__name__)
+    @pytest.mark.parametrize("rho_range", [(0.4, 1.5), (0.6, 2.5), (1.5, 0.8)])
+    def test_rho_range_outside_the_annulus_raises(self, tmp_path, writer, rho_range):
+        annulus = (0.5, 2.0)
+        surface = MaximalSurface(
+            HarmonicOnAnnulus.from_modes(holo={1: 0.5}, antiholo={1: -0.5}, annulus=annulus),
+            HarmonicOnAnnulus.from_modes(log_coeff=1.0, annulus=annulus),
+        )
+        out = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="rho range"):
+            writer(surface, str(out), 8, 4, rho_range)
+        assert not out.exists()
+
+    def test_csv_fields_equal_mesh_vertices(self, tmp_path):
+        rng = np.random.default_rng(5)
+        modes = {n: complex(rng.normal(), rng.normal()) / 4 ** abs(n) for n in range(-4, 5)}
+        surface = MaximalSurface(
+            HarmonicOnAnnulus.from_modes(holo=modes, antiholo={1: 0.3j}),
+            HarmonicOnAnnulus.from_modes(holo={0: 1.0}, log_coeff=0.7),
+        )
+        mesh, csv = tmp_path / "s.mesh", tmp_path / "s.csv"
+        fileio.export_mesh(surface, str(mesh), 16, 8, (0.8, 1.25))
+        fileio.export_point_cloud(surface, str(csv), 16, 8, (0.8, 1.25))
+        vertices = [ln.split()[1:] for ln in mesh.read_text().splitlines() if ln[0] == "v"]
+        rows = [ln.split(",")[2:] for ln in csv.read_text().splitlines()[1:]]
+        assert len(vertices) == 16 * 8
+        assert rows == vertices
+
+
 class TestCli:
     def test_validate_curve(self, catenoid_curve_spec, capsys):
         assert cli.main(["validate", "--spec", catenoid_curve_spec]) == 0

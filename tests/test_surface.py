@@ -30,9 +30,12 @@ from maxsurf.surface import (
     special_singularity_check,
     w_from_h,
     _bisect_brackets,
+    _integrate_sqrt_segment,
+    _track_signs,
+    _tracked_sqrt,
 )
 
-from conftest import random_valid_data
+from conftest import loop_track_signs, random_valid_data
 
 
 class TestPointwiseQuantities:
@@ -254,6 +257,40 @@ class TestHeightRecovery:
         h = HarmonicOnAnnulus.from_modes(holo={1: 1.0})
         with pytest.raises(BranchPointError):
             w_from_h(h, 1.5, 0.0, [2.0])
+
+
+class TestSignTracking:
+    @pytest.mark.parametrize("n", [13, 191, 1535])
+    def test_matches_the_loop_bit_for_bit(self, n):
+        # Square roots turning by up to 1.25 rad per step are well resolved;
+        # at up to 3 rad many steps are ambiguous and flip the sign.
+        rng = np.random.default_rng(n)
+        for turn in (2.5, 6.0):
+            for _ in range(5):
+                phase = np.cumsum(rng.uniform(-turn, turn, n))
+                values = rng.uniform(0.5, 2.0, n) * np.exp(1j * phase)
+                first = np.sqrt(values[0])
+                for start in (first, -first, complex(rng.normal(), rng.normal())):
+                    got = _track_signs(values, start)
+                    assert got.tobytes() == loop_track_signs(values, start).tobytes()
+
+    def test_tracked_sqrt_raises_when_the_branch_does_not_settle(self):
+        # On the radial leg from 1 to 2 (n nodes) the root turns by
+        # 2456 pi / (n - 1) per step, more than pi/2 at every resolution, and
+        # the tracked sign at 2 alternates from one doubling to the next.
+        def fn(p):
+            return np.exp(2j * np.pi * 2456 * np.log2(np.abs(p)))
+
+        with pytest.raises(BranchPointError, match="did not settle"):
+            _tracked_sqrt(fn, 1.0 + 0j, 2.0 + 0j)
+
+    def test_quadrature_raises_at_max_depth(self):
+        def q(p):
+            return p**3 + 2.0
+
+        with pytest.raises(BranchPointError, match="3 halvings"):
+            _integrate_sqrt_segment(q, 1.0 + 0j, 2.0 + 0j, np.sqrt(3.0 + 0j),
+                                    tol=1e-30, max_depth=3)
 
 
 class TestSpecialSingularity:
