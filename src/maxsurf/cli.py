@@ -14,10 +14,9 @@ import sys
 import numpy as np
 
 from . import bjorling, fileio, interpolation
-from .annulus import DEFAULT_TRUNCATION, circle_angles, polar_grid
+from .annulus import DEFAULT_TRUNCATION, circle_angles
 from .surface import (
     DegenerateSurfaceError,
-    Region,
     classify_point,
     conformality_residual,
     gauss_map,
@@ -189,25 +188,26 @@ def cmd_singular_set(args, config) -> int:
 
 def cmd_gauss_map(args, config) -> int:
     surface = fileio.load_surface(args.surface)
-    thetas = circle_angles(args.grid[0])
-    radii = np.geomspace(args.rho_range[0], args.rho_range[1], args.grid[1])
+    thetas, rhos, grid = fileio.export_grid(surface, *args.grid, args.rho_range)
+    regions = classify_point(surface, grid)
+    nus = gauss_map(surface, grid)  # NaN at the singular points
     lines = ["theta,rho,region,nu_re,nu_im"]
-    for rho, ring in zip(radii, polar_grid(radii, args.grid[0])):
-        for th, z in zip(thetas, ring):
-            region = classify_point(surface, z)
-            if region is Region.SINGULAR:
-                lines.append(f"{th:.17g},{rho:.17g},singular,nan,nan")
-                continue
-            nu = gauss_map(surface, z)
-            lines.append(
-                f"{th:.17g},{rho:.17g},{region.value},{nu.real:.17g},{nu.imag:.17g}"
-            )
+    for th, rho, region, nu in zip(thetas, rhos, regions, nus):
+        lines.append(f"{th:.17g},{rho:.17g},{region.value},{nu.real:.17g},{nu.imag:.17g}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 # -- argument parsing -------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    """A grid or angle count; argparse reports a non-integer itself."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="export a mesh or point cloud")
     p.add_argument("--surface", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=int, nargs=2, default=[64, 32],
+    p.add_argument("--grid", type=_positive_int, nargs=2, default=[64, 32],
                    metavar=("NTHETA", "NRHO"))
     p.add_argument("--rho-range", type=float, nargs=2, default=[0.4, 2.5],
                    metavar=("LO", "HI"))
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singular-set", help="locate the singular set")
     p.add_argument("--surface", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--angles", type=int, default=64)
+    p.add_argument("--angles", type=_positive_int, default=64)
     p.add_argument("--rho-range", type=float, nargs=2, default=[0.4, 2.5],
                    metavar=("LO", "HI"))
     p.set_defaults(fn=cmd_singular_set)
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gauss-map", help="sample the Gauss map on a grid")
     p.add_argument("--surface", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=int, nargs=2, default=[16, 8],
+    p.add_argument("--grid", type=_positive_int, nargs=2, default=[16, 8],
                    metavar=("NTHETA", "NRHO"))
     p.add_argument("--rho-range", type=float, nargs=2, default=[0.5, 2.0],
                    metavar=("LO", "HI"))

@@ -208,17 +208,22 @@ def write_report(path: str, payload: dict):
 # -- mesh / point-cloud export ---------------------------------------------
 
 
-def _sample_grid(surface: MaximalSurface, n_theta: int, n_rho: int, rho_range):
-    """Flat (theta, rho, x, y, t) over the log-spaced export grid, radius-major."""
+def export_grid(surface: MaximalSurface, n_theta: int, n_rho: int, rho_range):
+    """Flat (theta, rho, z) over the log-spaced export grid, radius-major."""
     lo, hi = rho_range
     if not (surface.inner_radius < lo < hi < surface.outer_radius):
         raise ValueError("rho range must lie inside the annulus")
     radii = np.geomspace(lo, hi, n_rho)
-    grid = polar_grid(radii, n_theta).ravel()
+    thetas = np.tile(circle_angles(n_theta), n_rho)
+    return thetas, np.repeat(radii, n_theta), polar_grid(radii, n_theta).ravel()
+
+
+def _sample_grid(surface: MaximalSurface, n_theta: int, n_rho: int, rho_range):
+    """Flat (theta, rho, x, y, t) over the export grid."""
+    thetas, rhos, grid = export_grid(surface, n_theta, n_rho, rho_range)
     p = surface.planar.eval(grid)
     t = np.real(surface.height.eval(grid))
-    thetas = np.tile(circle_angles(n_theta), n_rho)
-    return thetas, np.repeat(radii, n_theta), np.real(p), np.imag(p), t
+    return thetas, rhos, np.real(p), np.imag(p), t
 
 
 def export_mesh(

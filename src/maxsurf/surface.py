@@ -14,6 +14,7 @@ its singular set.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ SINGULAR_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
 BRANCH_FLOOR = 1e-14
 QUAD_TOL = 1e-12
+# Largest |w_z^2 - h_z conj(h_zbar)| / (|h_z| |h_zbar|) at which the normal
+# and the Gauss map take their sign from w_z.
+CONFORMAL_TOL = 1e-6
 
 # Radii used for default grids on sentinel (0, inf) domains.
 FALLBACK_INNER = 0.5
@@ -35,7 +39,7 @@ class SingularPointError(ValueError):
 
 
 class BranchPointError(ValueError):
-    """A square-root branch vanishes, or does not settle, along the path."""
+    """A square-root branch vanishes on a path, or is undefined at a point."""
 
 
 class DegenerateSurfaceError(ValueError):
@@ -71,6 +75,11 @@ class MaximalSurface:
     def outer_radius(self) -> float:
         return min(self.planar.outer_radius, self.height.outer_radius)
 
+    # Branch signs of `normal` and `gauss_map`, each fixed once at an anchor.
+    _normal_sign = functools.cached_property(lambda self: _anchor_sign(self, None))
+    _holo_sign = functools.cached_property(lambda self: _anchor_sign(self, Region.HOLO_DOMINANT))
+    _anti_sign = functools.cached_property(lambda self: _anchor_sign(self, Region.ANTI_DOMINANT))
+
 
 def evaluate(surface: MaximalSurface, z):
     """Map a parameter point to (complex coordinate, real height)."""
@@ -101,14 +110,19 @@ def metric_factor(surface: MaximalSurface, z):
     return (np.abs(hz) - np.abs(hzb)) ** 2
 
 
-def classify_point(surface: MaximalSurface, z, tol: float = SINGULAR_TOL) -> Region:
-    hz = abs(surface.planar.d_z(z))
-    hzb = abs(surface.planar.d_zbar(z))
-    if hzb < hz - tol:
-        return Region.HOLO_DOMINANT
-    if hzb > hz + tol:
-        return Region.ANTI_DOMINANT
-    return Region.SINGULAR
+_REGIONS = np.array([Region.ANTI_DOMINANT, Region.SINGULAR, Region.HOLO_DOMINANT])
+
+
+def _sides(hz, hzb, tol: float) -> np.ndarray:
+    """1 where |hzb| < |hz| - tol, -1 where |hzb| > |hz| + tol, else 0."""
+    ahz, ahzb = np.abs(hz), np.abs(hzb)
+    return (ahzb < ahz - tol).astype(int) - (ahzb > ahz + tol)
+
+
+def classify_point(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
+    """The Region of a point; an array of Regions for an array of points."""
+    side = _sides(surface.planar.d_z(z), surface.planar.d_zbar(z), tol)
+    return _REGIONS[side + 1]
 
 
 # -- grids ------------------------------------------------------------------
@@ -266,53 +280,11 @@ def singular_set(
     return found
 
 
-# -- branch-tracked square roots -------------------------------------------
-
-
-def _path_nodes(z_from: complex, z_to: complex, per_leg: int) -> np.ndarray:
-    """Radial-then-arc discrete path between two annulus points."""
-    r0, r1 = abs(z_from), abs(z_to)
-    t0 = float(np.angle(z_from))
-    t1 = float(np.angle(z_to))
-    dt = (t1 - t0 + np.pi) % (2.0 * np.pi) - np.pi
-    radial = np.geomspace(r0, r1, per_leg) * np.exp(1j * t0)
-    arc = r1 * np.exp(1j * (t0 + dt * np.linspace(0.0, 1.0, per_leg)))
-    return np.concatenate([radial, arc[1:]])
-
-
-def _track_signs(values: np.ndarray, start: complex) -> np.ndarray:
-    """Choose +/- sqrt along a path so the branch varies continuously.
-
-    The sign flips where Re(root_i conj(root_{i-1})) < 0, root_{-1} = start;
-    root i is negated when the flips up to i are odd in number.
-    """
-    roots = np.sqrt(values)
-    if np.abs(values).min() < BRANCH_FLOOR:
-        raise BranchPointError("square-root argument vanishes on the path")
-    before = np.concatenate(([start], roots[:-1]))
-    odd = np.logical_xor.accumulate((roots * before.conj()).real < 0.0)
-    return np.where(odd, -roots, roots)
-
-
-def _tracked_sqrt(fn, anchor: complex, z: complex, per_leg: int = 96) -> complex:
-    """sqrt(fn) at z, continued continuously from the principal root at anchor."""
-    start = np.sqrt(complex(fn(anchor)))
-    prev_val = None
-    n = per_leg
-    for _ in range(6):
-        path = _path_nodes(anchor, z, n)
-        vals = np.asarray(fn(path))
-        tracked = _track_signs(vals, start)
-        end = complex(tracked[-1])
-        if prev_val is not None and abs(end - prev_val) <= 1e-11 * (1.0 + abs(end)):
-            return end
-        prev_val = end
-        n *= 2
-    raise BranchPointError(f"square-root branch at {z} did not settle by {n // 2} nodes per leg")
+# -- normal and Gauss map ---------------------------------------------------
 
 
 def _regular_anchor(surface: MaximalSurface, region: Region | None = None) -> complex:
-    """A fixed representative point for branch continuation.
+    """A fixed regular point at which a branch sign is chosen.
 
     The theta = 0 ray is scanned first so that, whenever the region meets the
     positive real axis, the anchor (and with it the square-root branch) sits
@@ -341,63 +313,135 @@ def _regular_anchor(surface: MaximalSurface, region: Region | None = None) -> co
     return anchor
 
 
-# -- normal and Gauss map ---------------------------------------------------
+def _guided_root(surface: MaximalSurface, z, hz, hzb, region: Region | None):
+    """(principal root, sign) of the normal's (region None) or the Gauss map's
+    square root at the points z of that region.
+
+    The sign is +1 or -1 per point: -1 where the principal root points away
+    from the guide h_z conj(w_z).  By w_z^2 = h_z conj(h_zbar), the guide's
+    square is a positive multiple of each root's argument, so sign * root is
+    continuous wherever the guide is nonzero.  Raises BranchPointError where
+    the relation misses by more than CONFORMAL_TOL relative to |h_z||h_zbar|.
+    """
+    wz = surface.height.d_z(z)
+    bad = np.abs(wz**2 - hz * np.conj(hzb)) > CONFORMAL_TOL * np.abs(hz) * np.abs(hzb)
+    if np.any(bad):
+        raise BranchPointError(
+            f"w_z^2 differs from h_z conj(h_zbar) at {complex(z[bad][0])}: "
+            "the surface is not conformal there"
+        )
+    if region is None:
+        root = np.sqrt(hz * hzb)
+    elif region is Region.HOLO_DOMINANT:
+        root = np.sqrt(hz / np.conj(hzb))
+    else:
+        root = np.sqrt(hzb / np.conj(hz))
+    # root * conj(guide) = root * conj(h_z) * w_z
+    return root, np.where((root * np.conj(hz) * wz).real < 0.0, -1.0, 1.0)
+
+
+def _anchor_sign(surface: MaximalSurface, region: Region | None) -> float:
+    """`_guided_root`'s sign at the region's anchor; multiplied by it, the
+    guided branch is the principal root there."""
+    anchor = np.array([_regular_anchor(surface, region)])
+    hz, hzb = surface.planar.d_z(anchor), surface.planar.d_zbar(anchor)
+    return float(_guided_root(surface, anchor, hz, hzb, region)[1][0])
+
 
 POINT_AT_INFINITY = complex(np.inf, 0.0)
 
 
 def normal(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
-    """Unit Minkowski normal (planar part, height part) at a regular point.
+    """Unit Minkowski normal (planar part, height part) at regular points.
 
-    The square root of planar_z * planar_zbar is continued continuously from
-    a fixed regular anchor; the result has Minkowski norm -1.
+    N = (2 s, |h_zbar| + |h_z|) / (|h_zbar| - |h_z|) with s a square root of
+    h_z h_zbar, rescaled to |s| = sqrt(|h_z| |h_zbar|) so that N has
+    Minkowski norm -1 exactly.  Sign convention: s = e conj(w_z) h_z / |h_z|,
+    computed as the principal root negated where it points away from
+    h_z conj(w_z), with e = +-1 fixed once per surface so that s is the
+    principal root at the surface's anchor (`_regular_anchor`).
+
+    z may be a point or an array.  A singular point raises
+    SingularPointError; in an array, singular points give NaN.  A point
+    where the surface is not conformal (see `_guided_root`) raises
+    BranchPointError.
     """
-    z = complex(z)
-    hz = surface.planar.d_z(z)
-    hzb = surface.planar.d_zbar(z)
-    denom = abs(hzb) - abs(hz)
-    if abs(denom) <= tol * (1.0 + abs(hz) + abs(hzb)):
-        raise SingularPointError(f"{z} is a singular point")
-    anchor = _regular_anchor(surface)
+    zz = np.asarray(z, dtype=complex)
+    flat = zz.ravel()
+    hz, hzb = surface.planar.d_z(flat), surface.planar.d_zbar(flat)
+    ahz, ahzb = np.abs(hz), np.abs(hzb)
+    denom = ahzb - ahz
+    ok = np.abs(denom) > tol * (1.0 + ahz + ahzb)
+    if zz.ndim == 0 and not ok[0]:
+        raise SingularPointError(f"{complex(zz)} is a singular point")
+    root, sign = _guided_root(surface, flat[ok], hz[ok], hzb[ok], None)
+    root = root * (sign * surface._normal_sign)
+    # The magnitude is known in closed form, which keeps the Minkowski norm
+    # exact even near the singular set.
+    size = np.abs(root)
+    root = root * (np.sqrt(ahz[ok] * ahzb[ok]) / np.where(size > 0.0, size, 1.0))
+    planar = np.full(flat.shape, complex(np.nan, np.nan))
+    height = np.full(flat.shape, np.nan)
+    planar[ok] = 2.0 * root / denom[ok]
+    height[ok] = (ahzb[ok] + ahz[ok]) / denom[ok]
+    if zz.ndim == 0:
+        return complex(planar[0]), float(height[0])
+    return planar.reshape(zz.shape), height.reshape(zz.shape)
 
-    def product(p):
-        return surface.planar.d_z(p) * surface.planar.d_zbar(p)
 
-    root = _tracked_sqrt(product, anchor, z)
-    # The tracked value settles the phase; its magnitude is known in closed
-    # form, which keeps the Minkowski norm exact even near the singular set.
-    root *= np.sqrt(abs(hz) * abs(hzb)) / abs(root)
-    return 2.0 * root / denom, (abs(hzb) + abs(hz)) / denom
+def gauss_map(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
+    """Stereographically projected normal at regular points.
 
+    nu^2 is h_z / conj(h_zbar) where |h_zbar| < |h_z| (holo-dominant) and
+    h_zbar / conj(h_z) where |h_zbar| > |h_z| (anti-dominant).  Sign
+    convention: nu = e_holo h_z / w_z and nu = -e_anti / conj(h_z / w_z),
+    computed as the principal root of the ratio negated where it points away
+    from h_z conj(w_z); e_holo, e_anti = +-1 are fixed once per region so
+    that nu is the principal root at the holo anchor and minus the principal
+    root at the anti anchor (`_regular_anchor`).
 
-def gauss_map(surface: MaximalSurface, z, tol: float = SINGULAR_TOL) -> complex:
-    """Stereographically projected normal at a regular point.
-
-    Returns POINT_AT_INFINITY when the relevant denominator derivative
-    vanishes.  The branch is continued from a per-region anchor, so the map
-    is continuous on each region component containing its anchor.
+    Returns POINT_AT_INFINITY where the denominator derivative vanishes.  z
+    may be a point or an array.  A singular point raises SingularPointError;
+    in an array, singular points give NaN.  A point where the surface is not
+    conformal (see `_guided_root`) raises BranchPointError.
     """
-    z = complex(z)
-    region = classify_point(surface, z, tol)
-    if region is Region.SINGULAR:
-        raise SingularPointError(f"{z} is a singular point")
-    top, bottom, sign = surface.planar.d_z, surface.planar.d_zbar, 1.0
-    if region is Region.ANTI_DOMINANT:
-        top, bottom, sign = bottom, top, -1.0
-
-    def ratio(p):
-        return top(p) / np.conj(bottom(p))
-
-    num, den = top(z), np.conj(bottom(z))
-    if abs(den) < BRANCH_FLOOR * (1.0 + abs(num)):
-        return POINT_AT_INFINITY
-    anchor = _regular_anchor(surface, region)
-    return sign * _tracked_sqrt(ratio, anchor, z)
+    zz = np.asarray(z, dtype=complex)
+    flat = zz.ravel()
+    hz, hzb = surface.planar.d_z(flat), surface.planar.d_zbar(flat)
+    side = _sides(hz, hzb, tol)
+    if zz.ndim == 0 and side[0] == 0:
+        raise SingularPointError(f"{complex(zz)} is a singular point")
+    num = np.where(side < 0, hzb, hz)
+    den = np.conj(np.where(side < 0, hz, hzb))
+    finite = np.abs(den) >= BRANCH_FLOOR * (1.0 + np.abs(num))
+    nu = np.where(side == 0, complex(np.nan, np.nan), POINT_AT_INFINITY)
+    holo, anti = (side > 0) & finite, (side < 0) & finite
+    if np.any(holo):
+        root, sign = _guided_root(surface, flat[holo], hz[holo], hzb[holo], Region.HOLO_DOMINANT)
+        nu[holo] = root * (sign * surface._holo_sign)
+    if np.any(anti):
+        root, sign = _guided_root(surface, flat[anti], hz[anti], hzb[anti], Region.ANTI_DOMINANT)
+        nu[anti] = root * (sign * -surface._anti_sign)
+    return complex(nu[0]) if zz.ndim == 0 else nu.reshape(zz.shape)
 
 
 # -- height recovery (line-integral representation) -------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+
+
+def _track_signs(values: np.ndarray, start: complex) -> np.ndarray:
+    """Choose +/- sqrt along a path so the branch varies continuously.
+
+    The sign flips where Re(root_i conj(root_{i-1})) < 0, root_{-1} = start;
+    root i is negated when the flips up to i are odd in number.
+    """
+    roots = np.sqrt(values)
+    if np.abs(values).min() < BRANCH_FLOOR:
+        raise BranchPointError("square-root argument vanishes on the path")
+    before = np.concatenate(([start], roots[:-1]))
+    odd = np.logical_xor.accumulate((roots * before.conj()).real < 0.0)
+    return np.where(odd, -roots, roots)
 
 
 def _panel(qfn, za: complex, zb: complex, s_start: complex):
@@ -436,7 +480,11 @@ def _integrate_sqrt_segment(qfn, za, zb, s_start, tol=QUAD_TOL, max_depth=40):
 
 def _polyline(z0: complex, z1: complex) -> list[complex]:
     """Annulus-safe default polyline: radial leg then a chorded arc."""
-    nodes = _path_nodes(z0, z1, 17)
+    t0 = float(np.angle(z0))
+    dt = (float(np.angle(z1)) - t0 + np.pi) % (2.0 * np.pi) - np.pi
+    radial = np.geomspace(abs(z0), abs(z1), 17) * np.exp(1j * t0)
+    arc = abs(z1) * np.exp(1j * (t0 + dt * np.linspace(0.0, 1.0, 17)))
+    nodes = np.concatenate([radial, arc[1:]])
     keep = [complex(nodes[0])]
     for p in nodes[1:]:
         if abs(p - keep[-1]) > 1e-13:

@@ -8,7 +8,17 @@ import pytest
 from maxsurf.annulus import CircleFunction, HarmonicOnAnnulus
 from maxsurf.bjorling import BjorlingData
 from maxsurf.interpolation import SpacelikeCurve
-from maxsurf.surface import BRANCH_FLOOR, BranchPointError, MaximalSurface
+from maxsurf.surface import (
+    BRANCH_FLOOR,
+    SINGULAR_TOL,
+    BranchPointError,
+    MaximalSurface,
+    Region,
+    SingularPointError,
+    classify_point,
+    grid_points,
+    grid_radii,
+)
 
 
 @pytest.fixture
@@ -59,22 +69,27 @@ def sin_planar():
     return HarmonicOnAnnulus.from_modes(holo=holo, antiholo=anti)
 
 
-def random_valid_data(rng, deg=3):
+def random_valid_data(rng, deg=3, fourier=False):
     """Random boundary data satisfying every constraint exactly.
 
     The curve is a constant point, so orthogonality to the (zero) tangent is
     automatic; the radial field (Q^2, |Q|^2) built from a random trigonometric
-    polynomial Q is null by construction.
+    polynomial Q is null by construction.  It is given as 256 samples, or with
+    ``fourier`` as the exact coefficients of Q^2 and |Q|^2 (the same draws).
     """
     q = {n: 0.5 * complex(rng.normal(), rng.normal()) for n in range(-deg, deg + 1)}
-    thetas = 2.0 * np.pi * np.arange(256) / 256
-    samples = CircleFunction.from_dict(q).sample(thetas)
-    return BjorlingData(
-        curve_planar=CircleFunction.from_dict({0: complex(rng.normal(), rng.normal())}),
-        curve_height=CircleFunction.from_dict({0: rng.normal()}),
-        radial_planar=CircleFunction.from_samples(samples**2),
-        radial_height=CircleFunction.from_samples(np.abs(samples) ** 2),
-    )
+    curve_planar = CircleFunction.from_dict({0: complex(rng.normal(), rng.normal())})
+    curve_height = CircleFunction.from_dict({0: rng.normal()})
+    if fourier:
+        c = np.array(list(q.values()))
+        radial_planar = CircleFunction(np.convolve(c, c))
+        radial_height = CircleFunction(np.convolve(c, np.conj(c[::-1])))
+    else:
+        thetas = 2.0 * np.pi * np.arange(256) / 256
+        samples = CircleFunction.from_dict(q).sample(thetas)
+        radial_planar = CircleFunction.from_samples(samples**2)
+        radial_height = CircleFunction.from_samples(np.abs(samples) ** 2)
+    return BjorlingData(curve_planar, curve_height, radial_planar, radial_height)
 
 
 def annulus_points(rng, count, lo=0.5, hi=2.0):
@@ -96,3 +111,101 @@ def loop_track_signs(values: np.ndarray, start: complex) -> np.ndarray:
         out[i] = w
         prev = w
     return out
+
+
+# -- the branch-tracked normal and Gauss map that surface.normal and
+# surface.gauss_map replaced: the reference ---------------------------------
+
+
+def path_nodes(z_from: complex, z_to: complex, per_leg: int) -> np.ndarray:
+    """Radial-then-arc discrete path between two annulus points."""
+    r0, r1 = abs(z_from), abs(z_to)
+    t0 = float(np.angle(z_from))
+    t1 = float(np.angle(z_to))
+    dt = (t1 - t0 + np.pi) % (2.0 * np.pi) - np.pi
+    radial = np.geomspace(r0, r1, per_leg) * np.exp(1j * t0)
+    arc = r1 * np.exp(1j * (t0 + dt * np.linspace(0.0, 1.0, per_leg)))
+    return np.concatenate([radial, arc[1:]])
+
+
+def tracked_sqrt(fn, anchor: complex, z: complex, per_leg: int = 96) -> complex:
+    """sqrt(fn) at z, continued continuously from the principal root at anchor."""
+    start = np.sqrt(complex(fn(anchor)))
+    prev_val = None
+    n = per_leg
+    for _ in range(6):
+        path = path_nodes(anchor, z, n)
+        vals = np.asarray(fn(path))
+        tracked = loop_track_signs(vals, start)
+        end = complex(tracked[-1])
+        if prev_val is not None and abs(end - prev_val) <= 1e-11 * (1.0 + abs(end)):
+            return end
+        prev_val = end
+        n *= 2
+    raise BranchPointError(f"square-root branch at {z} did not settle by {n // 2} nodes per leg")
+
+
+def regular_anchor(surface, region=None) -> complex:
+    """A fixed representative point for branch continuation."""
+
+    def best_margin(candidates):
+        hz = np.abs(surface.planar.d_z(candidates))
+        hzb = np.abs(surface.planar.d_zbar(candidates))
+        if region is Region.HOLO_DOMINANT:
+            margin = hz - hzb
+        elif region is Region.ANTI_DOMINANT:
+            margin = hzb - hz
+        else:
+            margin = np.abs(hz - hzb)
+        i = int(np.argmax(margin))
+        return complex(candidates[i]), float(margin[i])
+
+    ray = grid_radii(surface, 33).astype(complex)
+    anchor, margin = best_margin(ray)
+    if margin > 100.0 * SINGULAR_TOL:
+        return anchor
+    anchor, margin = best_margin(grid_points(surface, 16, 8))
+    if margin <= SINGULAR_TOL:
+        raise SingularPointError("no regular anchor found for the requested region")
+    return anchor
+
+
+def normal_argument(surface):
+    """The function whose tracked square root the reference normal takes."""
+    return lambda p: surface.planar.d_z(p) * surface.planar.d_zbar(p)
+
+
+def gauss_argument(surface, region):
+    """The function whose tracked square root the reference Gauss map takes."""
+    top, bottom = surface.planar.d_z, surface.planar.d_zbar
+    if region is Region.ANTI_DOMINANT:
+        top, bottom = bottom, top
+    return lambda p: top(p) / np.conj(bottom(p))
+
+
+def tracked_normal(surface, z, tol=SINGULAR_TOL):
+    """The normal with its branch tracked from the anchor along a path."""
+    z = complex(z)
+    hz = surface.planar.d_z(z)
+    hzb = surface.planar.d_zbar(z)
+    denom = abs(hzb) - abs(hz)
+    if abs(denom) <= tol * (1.0 + abs(hz) + abs(hzb)):
+        raise SingularPointError(f"{z} is a singular point")
+    root = tracked_sqrt(normal_argument(surface), regular_anchor(surface), z)
+    root *= np.sqrt(abs(hz) * abs(hzb)) / abs(root)
+    return 2.0 * root / denom, (abs(hzb) + abs(hz)) / denom
+
+
+def tracked_gauss_map(surface, z, tol=SINGULAR_TOL) -> complex:
+    """The Gauss map with its branch tracked from a per-region anchor."""
+    z = complex(z)
+    region = classify_point(surface, z, tol)
+    if region is Region.SINGULAR:
+        raise SingularPointError(f"{z} is a singular point")
+    top, bottom, sign = surface.planar.d_z, surface.planar.d_zbar, 1.0
+    if region is Region.ANTI_DOMINANT:
+        top, bottom, sign = bottom, top, -1.0
+    num, den = top(z), np.conj(bottom(z))
+    if abs(den) < BRANCH_FLOOR * (1.0 + abs(num)):
+        return complex(np.inf, 0.0)
+    return sign * tracked_sqrt(gauss_argument(surface, region), regular_anchor(surface, region), z)

@@ -337,6 +337,45 @@ class TestCli:
         z = float(rho) * np.exp(1j * float(th))
         assert abs(complex(float(nu_re), float(nu_im)) - z) < 1e-9
 
+    def test_gauss_map_rejects_a_non_conformal_surface(self, catenoid, tmp_path, capsys):
+        # The catenoid's planar part with zero height: w_z = 0 everywhere.
+        surface_file = str(tmp_path / "flat.surface.txt")
+        fileio.save_surface(
+            MaximalSurface(catenoid.planar, HarmonicOnAnnulus.from_modes()), surface_file)
+        gm = tmp_path / "gauss.csv"
+        assert cli.main(["gauss-map", "--surface", surface_file, "--out", str(gm)]) == 2
+        assert "not conformal" in capsys.readouterr().err
+        assert not gm.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gauss-map", "--grid", "0", "4"], "--grid: must be a positive integer"),
+            (["gauss-map", "--grid", "4", "0"], "--grid: must be a positive integer"),
+            (["gauss-map", "--grid", "-2", "4"], "--grid: must be a positive integer"),
+            (["gauss-map", "--rho-range", "2.0", "1.2"], "rho range must lie inside"),
+            (["singular-set", "--angles", "0"], "--angles: must be a positive integer"),
+            (["singular-set", "--angles", "-1"], "--angles: must be a positive integer"),
+            (["sample", "--grid", "0", "4"], "--grid: must be a positive integer"),
+            (["sample", "--grid", "-3", "4"], "--grid: must be a positive integer"),
+        ],
+        ids=["gauss-theta-0", "gauss-rho-0", "gauss-theta-negative", "gauss-range-reversed",
+             "singular-angles-0", "singular-angles-negative", "sample-theta-0",
+             "sample-theta-negative"],
+    )
+    def test_bad_grid_and_range_arguments_exit_2(self, catenoid, tmp_path, capsys,
+                                                 argv, message):
+        surface_file = str(tmp_path / "cat.surface.txt")
+        fileio.save_surface(catenoid, surface_file)
+        out = tmp_path / "out.csv"
+        try:
+            code = cli.main([*argv, "--surface", surface_file, "--out", str(out)])
+        except SystemExit as exc:  # argparse rejects a bad value itself
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_merging(self, tmp_path, monkeypatch, catenoid_curve_spec):
         env_cfg = write_json(tmp_path / "env.json", {"scan_points": 128})
         flag_cfg = write_json(tmp_path / "flag.json", {"residual_tol": 1e-6})
@@ -366,6 +405,13 @@ class TestCli:
             ) == 0
         assert (tmp_path / "a.singular.csv").read_bytes() == \
             (tmp_path / "b.singular.csv").read_bytes()
+        for out in (out_a, out_b):
+            assert cli.main(
+                ["gauss-map", "--surface", out + ".surface.txt", "--out",
+                 out + ".gauss.csv", "--grid", "64", "32"]
+            ) == 0
+        assert (tmp_path / "a.gauss.csv").read_bytes() == \
+            (tmp_path / "b.gauss.csv").read_bytes()
 
     def test_runtime_does_not_import_scipy(self, catenoid, tmp_path):
         surface_file = str(tmp_path / "cat.surface.txt")

@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import bisect
 
-from maxsurf.annulus import DomainError, HarmonicOnAnnulus
+import maxsurf.surface
+from maxsurf.annulus import DomainError, HarmonicOnAnnulus, circle_angles, polar_grid
 from maxsurf.bjorling import solve
 from maxsurf.interpolation import build_surface, family_curve
 from maxsurf.surface import (
@@ -32,10 +35,10 @@ from maxsurf.surface import (
     _bisect_brackets,
     _integrate_sqrt_segment,
     _track_signs,
-    _tracked_sqrt,
 )
 
-from conftest import loop_track_signs, random_valid_data
+import conftest
+from conftest import annulus_points, loop_track_signs, random_valid_data
 
 
 class TestPointwiseQuantities:
@@ -229,6 +232,128 @@ class TestNormalAndGauss:
         surf = MaximalSurface(h, HarmonicOnAnnulus.from_modes())
         assert gauss_map(surf, 1.5) == POINT_AT_INFINITY
 
+    def test_arrays_match_points_and_give_nan_at_singular_points(self, catenoid):
+        z = polar_grid([0.6, 1.0, 1.7], 8)  # |z| = 1 is singular
+        nu = gauss_map(catenoid, z)
+        planar, height = normal(catenoid, z)
+        assert nu.shape == planar.shape == height.shape == z.shape
+        assert np.all(np.isnan(nu[1])) and np.all(np.isnan(planar[1]))
+        assert np.all(np.isnan(height[1]))
+        for i in (0, 2):
+            for j, point in enumerate(z[i]):
+                assert abs(nu[i, j] - gauss_map(catenoid, point)) <= 1e-14
+                p, h = normal(catenoid, point)
+                assert abs(planar[i, j] - p) <= 1e-14 and abs(height[i, j] - h) <= 1e-14
+        assert isinstance(gauss_map(catenoid, 2.0), complex)
+        p, h = normal(catenoid, 2.0)
+        assert isinstance(p, complex) and isinstance(h, float)
+
+    def test_anchors_are_searched_once_per_surface(self, catenoid, monkeypatch):
+        calls = []
+        search = maxsurf.surface._regular_anchor
+
+        def counted(surface, region=None):
+            calls.append(region)
+            return search(surface, region)
+
+        monkeypatch.setattr(maxsurf.surface, "_regular_anchor", counted)
+        grid = polar_grid(np.geomspace(0.5, 2.0, 8), 16)
+        for _ in range(3):
+            gauss_map(catenoid, grid)
+            normal(catenoid, grid[0])
+            for point in grid[:, 3]:
+                gauss_map(catenoid, point)
+                normal(catenoid, point)
+        assert sorted(map(str, calls)) == sorted(
+            map(str, [None, Region.HOLO_DOMINANT, Region.ANTI_DOMINANT]))
+
+    @pytest.mark.parametrize("height_scale", [0.0, 1.0 + 1e-6])
+    def test_non_conformal_surface_raises(self, catenoid, height_scale):
+        # w = s ln|z| gives w_z^2 = s^2 h_z conj(h_zbar): a relative defect
+        # of |s^2 - 1|, which is 1 for s = 0 and 2e-6 for s = 1 + 1e-6.
+        surface = MaximalSurface(
+            catenoid.planar, HarmonicOnAnnulus.from_modes(log_coeff=height_scale))
+        for z in (2.0, 0.5j):
+            with pytest.raises(BranchPointError, match="not conformal"):
+                normal(surface, z)
+            with pytest.raises(BranchPointError, match="not conformal"):
+                gauss_map(surface, z)
+
+    def test_conformality_tolerance_admits_rounding(self, catenoid):
+        # A relative defect of 2e-8, inside CONFORMAL_TOL.
+        surface = MaximalSurface(
+            catenoid.planar, HarmonicOnAnnulus.from_modes(log_coeff=1.0 + 1e-8))
+        assert abs(gauss_map(surface, 2.0) - 2.0) < 1e-12
+        assert normal(surface, 2.0) == normal(catenoid, 2.0)
+
+
+@pytest.fixture(scope="module")
+def branch_surfaces():
+    """The catenoid, two family surfaces and 12 Fourier-form Björling ones."""
+    catenoid = MaximalSurface(
+        HarmonicOnAnnulus.from_modes(holo={1: 0.5}, antiholo={1: -0.5}),
+        HarmonicOnAnnulus.from_modes(log_coeff=1.0),
+    )
+    return [
+        ("catenoid", catenoid),
+        ("family_curve(2)", build_surface(family_curve(2.0), 2.0)),
+        ("family_curve(0.6)", build_surface(family_curve(0.6), 0.6)),
+        *((f"fourier seed {s}", solve(random_valid_data(np.random.default_rng(s), fourier=True)))
+          for s in range(12)),
+    ]
+
+
+class TestClosedFormBranches:
+    """normal and gauss_map against the branch tracking they replaced."""
+
+    @staticmethod
+    def path_share(fn, anchor, z):
+        """min / max of |fn| on the reference's radial-then-arc path."""
+        q = np.abs(fn(conftest.path_nodes(anchor, z, 400)))
+        return q.min() / q.max()
+
+    def test_matches_the_tracked_path(self, branch_surfaces):
+        # Only the sign may differ, and only where the reference's path
+        # passes near a zero or a pole of the square root's argument.
+        rng = np.random.default_rng(606)
+        flipped = []
+        for name, surface in branch_surfaces:
+            for z in map(complex, annulus_points(rng, 40)):
+                hz = abs(surface.planar.d_z(z))
+                hzb = abs(surface.planar.d_zbar(z))
+                if abs(hz - hzb) <= 1e-2 * (hz + hzb):
+                    continue
+                region = classify_point(surface, z)
+                cases = [
+                    ("normal", normal(surface, z)[0], conftest.tracked_normal(surface, z)[0],
+                     conftest.normal_argument(surface), conftest.regular_anchor(surface)),
+                    ("gauss", gauss_map(surface, z), conftest.tracked_gauss_map(surface, z),
+                     conftest.gauss_argument(surface, region),
+                     conftest.regular_anchor(surface, region)),
+                ]
+                for kind, new, ref, fn, anchor in cases:
+                    scale = max(1.0, abs(ref))
+                    if abs(new - ref) <= 1e-12 * scale:
+                        continue
+                    assert abs(new + ref) <= 1e-12 * scale, (name, kind, z)
+                    assert self.path_share(fn, anchor, z) < 1e-3, (name, kind, z)
+                    flipped.append((name, kind, z))
+        assert len(flipped) == 6, flipped  # listed in CHANGES.md
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 14), st.floats(np.log(0.51), np.log(1.96)),
+           st.floats(0.0, 2.0 * np.pi))
+    def test_no_sign_jump_on_small_rings(self, branch_surfaces, index, log_rho, theta):
+        _, surface = branch_surfaces[index]
+        ring = np.exp(log_rho + 1j * theta) + 1e-3 * np.exp(1j * circle_angles(64))
+        regions = classify_point(surface, ring, 1e-3)
+        assume(len(set(regions)) == 1 and regions[0] is not Region.SINGULAR)
+        nu = gauss_map(surface, ring)
+        assume(np.all(np.isfinite(nu)))
+        planar, _ = normal(surface, ring)
+        for values in (nu, planar):
+            assert np.all((values * np.conj(np.roll(values, 1))).real > 0.0)
+
 
 class TestHeightRecovery:
     def test_catenoid_log_height(self, catenoid):
@@ -273,16 +398,6 @@ class TestSignTracking:
                 for start in (first, -first, complex(rng.normal(), rng.normal())):
                     got = _track_signs(values, start)
                     assert got.tobytes() == loop_track_signs(values, start).tobytes()
-
-    def test_tracked_sqrt_raises_when_the_branch_does_not_settle(self):
-        # On the radial leg from 1 to 2 (n nodes) the root turns by
-        # 2456 pi / (n - 1) per step, more than pi/2 at every resolution, and
-        # the tracked sign at 2 alternates from one doubling to the next.
-        def fn(p):
-            return np.exp(2j * np.pi * 2456 * np.log2(np.abs(p)))
-
-        with pytest.raises(BranchPointError, match="did not settle"):
-            _tracked_sqrt(fn, 1.0 + 0j, 2.0 + 0j)
 
     def test_quadrature_raises_at_max_depth(self):
         def q(p):
