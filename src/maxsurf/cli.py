@@ -270,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        return exc.code
     try:
         config = _load_config(args.config)
         return args.fn(args, config)

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import DomainError, HarmonicOnAnnulus, circle_angles, polar_grid
+from .annulus import COEFF_FLOOR, DomainError, HarmonicOnAnnulus, circle_angles, polar_grid
 
 SINGULAR_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
 BRANCH_FLOOR = 1e-14
-QUAD_TOL = 1e-12
 # Largest |w_z^2 - h_z conj(h_zbar)| / (|h_z| |h_zbar|) at which the normal
 # and the Gauss map take their sign from w_z.
 CONFORMAL_TOL = 1e-6
@@ -39,7 +38,8 @@ class SingularPointError(ValueError):
 
 
 class BranchPointError(ValueError):
-    """A square-root branch vanishes on a path, or is undefined at a point."""
+    """A square root of h_z conj(h_zbar) vanishes where it is needed, is not
+    single-valued around the annulus, or differs from w_z (not conformal)."""
 
 
 class DegenerateSurfaceError(ValueError):
@@ -425,9 +425,7 @@ def gauss_map(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
     return complex(nu[0]) if zz.ndim == 0 else nu.reshape(zz.shape)
 
 
-# -- height recovery (line-integral representation) -------------------------
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+# -- height recovery (one spectral fit on one circle) -----------------------
 
 
 def _track_signs(values: np.ndarray, start: complex) -> np.ndarray:
@@ -444,71 +442,24 @@ def _track_signs(values: np.ndarray, start: complex) -> np.ndarray:
     return np.where(odd, -roots, roots)
 
 
-def _panel(qfn, za: complex, zb: complex, s_start: complex):
-    """One Gauss-Legendre panel with branch tracking; returns (value, s_end)."""
-    mid = 0.5 * (za + zb)
-    half = 0.5 * (zb - za)
-    nodes = mid + half * _GL_X
-    vals = np.asarray(qfn(np.append(nodes, zb)))
-    tracked = _track_signs(vals, s_start)
-    integral = half * np.sum(_GL_W * tracked[:-1])
-    return integral, complex(tracked[-1])
-
-
-def _integrate_sqrt_segment(qfn, za, zb, s_start, tol=QUAD_TOL, max_depth=40):
-    """Adaptive integral of the tracked sqrt along one straight segment."""
-    total = 0j
-    stack = [(za, zb, s_start, 0)]
-    while stack:
-        a, b, s0, depth = stack.pop()
-        coarse, _ = _panel(qfn, a, b, s0)
-        m = 0.5 * (a + b)
-        left, s_mid = _panel(qfn, a, m, s0)
-        right, s_end = _panel(qfn, m, b, s_mid)
-        if abs(coarse - (left + right)) <= tol:
-            total += left + right
-            s_start = s_end
-        elif depth >= max_depth:
-            raise BranchPointError(f"quadrature did not reach {tol:.3g} in {max_depth} halvings")
-        else:
-            # Right half goes first onto the stack so the left half is
-            # processed next, keeping the branch state in path order.
-            stack.append((m, b, s_mid, depth + 1))
-            stack.append((a, m, s0, depth + 1))
-    return total, s_start
-
-
-def _polyline(z0: complex, z1: complex) -> list[complex]:
-    """Annulus-safe default polyline: radial leg then a chorded arc."""
-    t0 = float(np.angle(z0))
-    dt = (float(np.angle(z1)) - t0 + np.pi) % (2.0 * np.pi) - np.pi
-    radial = np.geomspace(abs(z0), abs(z1), 17) * np.exp(1j * t0)
-    arc = abs(z1) * np.exp(1j * (t0 + dt * np.linspace(0.0, 1.0, 17)))
-    nodes = np.concatenate([radial, arc[1:]])
-    keep = [complex(nodes[0])]
-    for p in nodes[1:]:
-        if abs(p - keep[-1]) > 1e-13:
-            keep.append(complex(p))
-    return keep
-
-
-def w_from_h(
-    planar: HarmonicOnAnnulus,
-    z0: complex,
-    w0: float,
-    targets,
-    via=None,
-    tol: float = QUAD_TOL,
-):
+def w_from_h(planar: HarmonicOnAnnulus, z0: complex, w0: float, targets, via=None):
     """Recover the real height function from the complex coordinate.
 
-    Computes 2 Re integral of the continuously-tracked square root of
-    planar_z * conj(planar_zbar) along a polyline from z0 to each target,
-    plus w0.  The branch starts at the principal root at z0.  ``via`` may
-    list explicit intermediate polyline vertices (applied to every target);
-    by default an annulus-safe radial-plus-arc polyline is used.
+    A real harmonic w with w_z^2 = q = planar_z conj(planar_zbar) has
+    z w_z = sum d_n (z/rho)^n with d_0 real, so w = 2 Re sum_{n != 0}
+    (d_n / n) (z/rho)^n + 2 d_0 ln|z| + const.  One trapezoidal FFT of
+    z sqrt(q), tracked around the circle of `grid_radii` where min |q| is
+    largest, gives every d_n; modes below COEFF_FLOOR times the largest are
+    dropped.  w_z(z0) is the principal root of q(z0), and w(z0) = w0.  The
+    result depends on no path: ``via`` is only checked, like the targets,
+    to lie in the domain.
+
+    Raises BranchPointError where q(z0) = 0, where sqrt(q) vanishes or
+    changes sign around the circle, and where Im d_0 != 0 (w has a period).
     """
     z0 = complex(z0)
+    targets = np.atleast_1d(np.asarray(targets, dtype=complex))
+    planar._check_domain(np.append(targets, [] if via is None else via))
 
     def q(p):
         return planar.d_z(p) * np.conj(planar.d_zbar(p))
@@ -516,19 +467,33 @@ def w_from_h(
     q0 = complex(q(np.array([z0]))[0])
     if abs(q0) < BRANCH_FLOOR:
         raise BranchPointError("integrand vanishes at the base point")
-    results = []
-    for target in np.atleast_1d(np.asarray(targets, dtype=complex)):
-        if via is None:
-            vertices = _polyline(z0, complex(target))
-        else:
-            vertices = [z0, *map(complex, via), complex(target)]
-        state = np.sqrt(q0)
-        total = 0j
-        for a, b in zip(vertices[:-1], vertices[1:]):
-            piece, state = _integrate_sqrt_segment(q, a, b, state, tol)
-            total += piece
-        results.append(2.0 * float(np.real(total)) + w0)
-    return results
+    radii = grid_radii(planar)
+    rho = radii[np.argmax(np.abs(q(polar_grid(radii, 64))).min(axis=1))]
+    # q winds at most 2N + 2 times around a circle; 16N samples or more keep
+    # each step of its root well inside the quarter turn _track_signs allows.
+    ring = rho * np.exp(1j * circle_angles(1 << (16 * planar.truncation).bit_length()))
+    values = q(ring)
+    start = int(np.argmax(np.abs(values)))
+    roots = _track_signs(np.roll(values, -start), np.sqrt(values[start]))
+    if (roots[-1] * np.conj(roots[0])).real < 0.0:
+        raise BranchPointError("sqrt(h_z conj(h_zbar)) changes sign around a circle")
+    d = np.fft.fft(ring * np.roll(roots, start)) / len(ring)
+    floor = COEFF_FLOOR * np.abs(d).max()
+    if abs(d[0].imag) > floor:
+        raise BranchPointError(f"the height changes by {-4 * np.pi * d[0].imag:.3g} around 0")
+    keep = np.abs(d) >= floor
+    d0 = d[0].real * keep[0]
+    keep[0] = False
+    # Only the kept modes are raised to powers: (z/rho)^n overflows at the
+    # ring's largest |n|.
+    n, d = np.fft.fftfreq(len(ring), 1.0 / len(ring))[keep], d[keep]
+
+    def w(z):  # up to the sign and the constant
+        return 2.0 * ((np.power(z[:, None] / rho, n) @ (d / n)).real + d0 * np.log(np.abs(z)))
+
+    wz0 = (np.power(z0 / rho, n) @ d + d0) / z0
+    sign = -1.0 if (wz0 * np.conj(np.sqrt(q0))).real < 0.0 else 1.0
+    return (w0 + sign * (w(targets) - w(np.array([z0]))[0])).tolist()
 
 
 # -- special singularities --------------------------------------------------

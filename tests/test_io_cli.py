@@ -368,13 +368,16 @@ class TestCli:
         surface_file = str(tmp_path / "cat.surface.txt")
         fileio.save_surface(catenoid, surface_file)
         out = tmp_path / "out.csv"
-        try:
-            code = cli.main([*argv, "--surface", surface_file, "--out", str(out)])
-        except SystemExit as exc:  # argparse rejects a bad value itself
-            code = exc.code
+        code = cli.main([*argv, "--surface", surface_file, "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_usage_errors_and_help_return_their_codes(self, capsys):
+        assert cli.main(["gauss-map", "--out", "unused.csv"]) == 2
+        assert "--surface" in capsys.readouterr().err
+        assert cli.main(["--help"]) == 0
+        assert "usage" in capsys.readouterr().out
 
     def test_config_merging(self, tmp_path, monkeypatch, catenoid_curve_spec):
         env_cfg = write_json(tmp_path / "env.json", {"scan_points": 128})

@@ -11,6 +11,7 @@ from scipy.optimize import bisect
 import maxsurf.surface
 from maxsurf.annulus import DomainError, HarmonicOnAnnulus, circle_angles, polar_grid
 from maxsurf.bjorling import solve
+from maxsurf.fileio import load_surface, save_surface
 from maxsurf.interpolation import build_surface, family_curve
 from maxsurf.surface import (
     POINT_AT_INFINITY,
@@ -33,7 +34,6 @@ from maxsurf.surface import (
     special_singularity_check,
     w_from_h,
     _bisect_brackets,
-    _integrate_sqrt_segment,
     _track_signs,
 )
 
@@ -383,6 +383,50 @@ class TestHeightRecovery:
         with pytest.raises(BranchPointError):
             w_from_h(h, 1.5, 0.0, [2.0])
 
+    def test_odd_winding_raises(self):
+        # h = z^2/2 + zbar: q = z has no square root on any circle about 0.
+        h = HarmonicOnAnnulus.from_modes(holo={2: 0.5}, antiholo={-1: 1.0})
+        with pytest.raises(BranchPointError, match="changes sign around a circle"):
+            w_from_h(h, 1.5, 0.0, [0.8j])
+
+    def test_period_raises(self):
+        # h = z - i/zbar: q = -i/z^2, so w_z has the residue e^{-i pi/4} and
+        # w would change by 2 sqrt(2) pi around the annulus.
+        h = HarmonicOnAnnulus.from_modes(holo={1: 1.0}, antiholo={1: -1j})
+        with pytest.raises(BranchPointError, match="changes by 8.89 around 0"):
+            w_from_h(h, 1.5, 0.0, [0.8j])
+
+    @pytest.mark.parametrize(
+        "targets, via",
+        [([1.2, np.nan], None), ([1.2, 1e-3], None), ([1.2], [0.9, 1e3j])],
+        ids=["nan-target", "target-outside", "via-outside"],
+    )
+    def test_points_outside_the_domain_raise(self, targets, via):
+        planar = HarmonicOnAnnulus.from_modes(
+            holo={1: 0.5}, antiholo={1: -0.5}, annulus=(0.1, 10.0)
+        )
+        with pytest.raises(DomainError):
+            w_from_h(planar, 2.0, 0.0, targets, via=via)
+
+    def test_matches_the_stored_height(self, tmp_path):
+        # Björling surfaces at truncation 64, and the same ones read back from
+        # their exact-decimal files (truncation 6); the base point's branch
+        # fixes w - w0 only up to one sign.
+        path = str(tmp_path / "s.surface.txt")
+        worst = 0.0
+        for seed in range(60):
+            solved = solve(random_valid_data(np.random.default_rng(seed), fourier=True))
+            save_surface(solved, path)
+            points = annulus_points(np.random.default_rng(1000 + seed), 9)
+            z0, targets = points[0], points[1:]
+            for surface in (solved, load_surface(path)):
+                w0 = float(np.real(surface.height.eval(z0)))
+                true = np.real(surface.height.eval(targets))
+                got = np.array(w_from_h(surface.planar, z0, w0, targets))
+                err = np.minimum(np.abs(got - true), np.abs(got - (2.0 * w0 - true)))
+                worst = max(worst, float(np.max(err / (1.0 + np.abs(true)))))
+        assert worst < 1e-10
+
 
 class TestSignTracking:
     @pytest.mark.parametrize("n", [13, 191, 1535])
@@ -398,14 +442,6 @@ class TestSignTracking:
                 for start in (first, -first, complex(rng.normal(), rng.normal())):
                     got = _track_signs(values, start)
                     assert got.tobytes() == loop_track_signs(values, start).tobytes()
-
-    def test_quadrature_raises_at_max_depth(self):
-        def q(p):
-            return p**3 + 2.0
-
-        with pytest.raises(BranchPointError, match="3 halvings"):
-            _integrate_sqrt_segment(q, 1.0 + 0j, 2.0 + 0j, np.sqrt(3.0 + 0j),
-                                    tol=1e-30, max_depth=3)
 
 
 class TestSpecialSingularity:
