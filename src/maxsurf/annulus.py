@@ -293,6 +293,21 @@ class HarmonicOnAnnulus:
         out = out + self.log_coeff * np.log(np.abs(zz))
         return self._finish(out, scalar)
 
+    def eval_polar(self, radii, n_theta: int) -> np.ndarray:
+        """``eval(polar_grid(radii, n_theta))`` by one inverse FFT per circle.
+
+        On |z| = rho the series is sum (a_n rho^n + b_n rho^-n) e^{i n theta}
+        + c ln rho.  Modes are folded mod n_theta, which is exact at the nodes.
+        """
+        rho = np.atleast_1d(np.asarray(radii, dtype=float))
+        self._check_domain(rho)
+        powers = rho[:, None] ** self._modes
+        spectra = powers * self.holo + self.antiholo / powers
+        spectra[:, self.truncation] += self.log_coeff * np.log(np.abs(rho))
+        folded = np.zeros((len(rho), n_theta), dtype=complex)
+        np.add.at(folded.T, self._modes % n_theta, spectra.T)
+        return n_theta * np.fft.ifft(folded, axis=1)
+
     def d_z(self, z):
         """Wirtinger d/dz: sum n a_n z^{n-1} + c/(2z)."""
         zz, scalar = self._prepare(z)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import bjorling, fileio, interpolation
-from .annulus import DEFAULT_TRUNCATION, circle_angles
+from .annulus import DEFAULT_TRUNCATION, circle_angles, polar_grid
 from .surface import (
     DegenerateSurfaceError,
     classify_point,
@@ -188,14 +188,13 @@ def cmd_singular_set(args, config) -> int:
 
 def cmd_gauss_map(args, config) -> int:
     surface = fileio.load_surface(args.surface)
-    thetas, rhos, grid = fileio.export_grid(surface, *args.grid, args.rho_range)
-    regions = classify_point(surface, grid)
+    thetas, radii = fileio.export_grid(surface, *args.grid, args.rho_range)
+    grid = polar_grid(radii, len(thetas)).ravel()
+    regions = [region.value for region in classify_point(surface, grid)]
     nus = gauss_map(surface, grid)  # NaN at the singular points
-    lines = ["theta,rho,region,nu_re,nu_im"]
-    for th, rho, region, nu in zip(thetas, rhos, regions, nus):
-        lines.append(f"{th:.17g},{rho:.17g},{region.value},{nu.real:.17g},{nu.imag:.17g}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fileio.write_text(args.out, "theta,rho,region,nu_re,nu_im\n" + fileio.format_rows(
+        "%s,%s,%s,%.17g,%.17g\n", *fileio.grid_labels(thetas, radii), regions,
+        nus.real, nus.imag))
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import COEFF_FLOOR, CircleFunction, HarmonicOnAnnulus, circle_angles, polar_grid
+from .annulus import COEFF_FLOOR, CircleFunction, HarmonicOnAnnulus, circle_angles
 from .bjorling import BjorlingData
 from .interpolation import SpacelikeCurve
 from .surface import MaximalSurface, SingularPoint
@@ -25,8 +25,23 @@ class SpecParseError(ValueError):
     """The input file is not a well-formed curve specification."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def format_rows(row: str, *columns) -> str:
+    """``row % cells`` for each row of the columns, as one %-operation.
+
+    ``row`` is a %-template ending in a newline; ``"%.17g" % x`` equals
+    ``format(x, ".17g")``.  A column is a sequence or a 1-d array.
+    """
+    width = len(columns)
+    count = len(columns[0])
+    cells = [None] * (width * count)
+    for j, column in enumerate(columns):
+        cells[j::width] = column.tolist() if isinstance(column, np.ndarray) else column
+    return (row * count) % tuple(cells)
+
+
+def write_text(path: str, text: str):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 # -- curve specifications ---------------------------------------------------
@@ -130,21 +145,17 @@ def load_curve_spec(path: str) -> CurveSpec:
 
 def save_surface(surface: MaximalSurface, path: str):
     """Exact-decimal text dump of both harmonic functions."""
-    lines = [COEFF_MAGIC]
+    text = COEFF_MAGIC + "\n"
     for tag, h in (("planar", surface.planar), ("height", surface.height)):
-        outer = "inf" if not np.isfinite(h.outer_radius) else _fmt(h.outer_radius)
-        lines.append(f"{tag}.annulus {_fmt(h.inner_radius)} {outer}")
-        lines.append(f"{tag}.log {_fmt(h.log_coeff.real)} {_fmt(h.log_coeff.imag)}")
-        n0 = h.truncation
-        for i, (a, b) in enumerate(zip(h.holo, h.antiholo)):
-            if abs(a) <= COEFF_FLOOR and abs(b) <= COEFF_FLOOR:
-                continue
-            lines.append(
-                f"{tag} {i - n0} {_fmt(a.real)} {_fmt(a.imag)} "
-                f"{_fmt(b.real)} {_fmt(b.imag)}"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        text += "%s.annulus %.17g %.17g\n" % (tag, h.inner_radius, h.outer_radius)
+        text += "%s.log %.17g %.17g\n" % (tag, h.log_coeff.real, h.log_coeff.imag)
+        a, b = h.holo, h.antiholo
+        kept = (np.abs(a) > COEFF_FLOOR) | (np.abs(b) > COEFF_FLOOR)
+        text += format_rows(
+            tag + " %d %.17g %.17g %.17g %.17g\n",
+            np.arange(-h.truncation, h.truncation + 1)[kept],
+            a.real[kept], a.imag[kept], b.real[kept], b.imag[kept])
+    write_text(path, text)
 
 
 def load_surface(path: str) -> MaximalSurface:
@@ -209,21 +220,29 @@ def write_report(path: str, payload: dict):
 
 
 def export_grid(surface: MaximalSurface, n_theta: int, n_rho: int, rho_range):
-    """Flat (theta, rho, z) over the log-spaced export grid, radius-major."""
+    """Angles and log-spaced radii of the export grid, whose rows are radii."""
     lo, hi = rho_range
     if not (surface.inner_radius < lo < hi < surface.outer_radius):
         raise ValueError("rho range must lie inside the annulus")
-    radii = np.geomspace(lo, hi, n_rho)
-    thetas = np.tile(circle_angles(n_theta), n_rho)
-    return thetas, np.repeat(radii, n_theta), polar_grid(radii, n_theta).ravel()
+    return circle_angles(n_theta), np.geomspace(lo, hi, n_rho)
+
+
+def grid_labels(thetas, radii) -> tuple[list, list]:
+    """The theta and rho columns of a radius-major grid table, as text.
+
+    Each angle and radius is formatted once, not once per grid point.
+    """
+    th = ["%.17g" % t for t in thetas.tolist()]
+    rh = ["%.17g" % r for r in radii.tolist()]
+    return th * len(rh), [r for r in rh for _ in th]
 
 
 def _sample_grid(surface: MaximalSurface, n_theta: int, n_rho: int, rho_range):
-    """Flat (theta, rho, x, y, t) over the export grid."""
-    thetas, rhos, grid = export_grid(surface, n_theta, n_rho, rho_range)
-    p = surface.planar.eval(grid)
-    t = np.real(surface.height.eval(grid))
-    return thetas, rhos, np.real(p), np.imag(p), t
+    """Angles, radii, and the flat x, y, t over the export grid, radius-major."""
+    thetas, radii = export_grid(surface, n_theta, n_rho, rho_range)
+    p = surface.planar.eval_polar(radii, n_theta).ravel()
+    t = surface.height.eval_polar(radii, n_theta).real.ravel()
+    return thetas, radii, p.real, p.imag, t
 
 
 def export_mesh(
@@ -239,18 +258,14 @@ def export_mesh(
     mesh closes in the angular direction.
     """
     _, _, xs, ys, ts = _sample_grid(surface, n_theta, n_rho, rho_range)
-    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(t)}" for x, y, t in zip(xs, ys, ts)]
-    for i in range(n_rho - 1):
-        for j in range(n_theta):
-            j2 = (j + 1) % n_theta
-            v00 = i * n_theta + j + 1
-            v01 = i * n_theta + j2 + 1
-            v10 = (i + 1) * n_theta + j + 1
-            v11 = (i + 1) * n_theta + j2 + 1
-            lines.append(f"f {v00} {v01} {v11}")
-            lines.append(f"f {v00} {v11} {v10}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # Cell (i, j) joins radii i, i+1 and angles j, j+1 (mod n_theta).
+    row = np.arange(n_rho - 1)[:, None] * n_theta + 1
+    j = np.arange(n_theta)
+    v00, v01 = row + j, row + (j + 1) % n_theta
+    v10, v11 = v00 + n_theta, v01 + n_theta
+    faces = np.stack([v00, v01, v11, v00, v11, v10], axis=-1).reshape(-1, 3)
+    write_text(path, format_rows("v %.17g %.17g %.17g\n", xs, ys, ts)
+               + format_rows("f %d %d %d\n", *faces.T))
 
 
 def export_point_cloud(
@@ -261,19 +276,13 @@ def export_point_cloud(
     rho_range: tuple[float, float] = (0.4, 2.5),
 ):
     """CSV point cloud: theta,rho,x,y,t — one row per grid point."""
-    lines = ["theta,rho,x,y,t"]
-    for row in zip(*_sample_grid(surface, n_theta, n_rho, rho_range)):
-        lines.append(",".join(map(_fmt, row)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    thetas, radii, xs, ys, ts = _sample_grid(surface, n_theta, n_rho, rho_range)
+    write_text(path, "theta,rho,x,y,t\n" + format_rows(
+        "%s,%s,%.17g,%.17g,%.17g\n", *grid_labels(thetas, radii), xs, ys, ts))
 
 
 def write_singular_csv(path: str, points: list[SingularPoint]):
-    lines = ["theta,rho,residual,tangential"]
-    for p in points:
-        lines.append(
-            f"{_fmt(p.theta)},{_fmt(p.rho)},{_fmt(p.residual)},"
-            f"{int(p.tangential)}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "theta,rho,residual,tangential\n" + format_rows(
+        "%.17g,%.17g,%.17g,%d\n",
+        [p.theta for p in points], [p.rho for p in points],
+        [p.residual for p in points], [int(p.tangential) for p in points]))

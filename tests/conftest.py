@@ -209,3 +209,76 @@ def tracked_gauss_map(surface, z, tol=SINGULAR_TOL) -> complex:
     if abs(den) < BRANCH_FLOOR * (1.0 + abs(num)):
         return complex(np.inf, 0.0)
     return sign * tracked_sqrt(gauss_argument(surface, region), regular_anchor(surface, region), z)
+
+
+# -- the per-line writers that fileio's one-%-operation tables replaced: the
+# reference (each returns the file's text) -----------------------------------
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def reference_mesh_text(xs, ys, ts, n_theta: int, n_rho: int) -> str:
+    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(t)}" for x, y, t in zip(xs, ys, ts)]
+    for i in range(n_rho - 1):
+        for j in range(n_theta):
+            j2 = (j + 1) % n_theta
+            v00 = i * n_theta + j + 1
+            v01 = i * n_theta + j2 + 1
+            v10 = (i + 1) * n_theta + j + 1
+            v11 = (i + 1) * n_theta + j2 + 1
+            lines.append(f"f {v00} {v01} {v11}")
+            lines.append(f"f {v00} {v11} {v10}")
+    return _lines(lines)
+
+
+def reference_csv_text(thetas, rhos, xs, ys, ts) -> str:
+    """Point-cloud CSV; thetas and rhos are flat, one per grid point."""
+    lines = ["theta,rho,x,y,t"]
+    for row in zip(thetas, rhos, xs, ys, ts):
+        lines.append(",".join(map(_fmt, row)))
+    return _lines(lines)
+
+
+def reference_gauss_text(thetas, rhos, regions, nus) -> str:
+    lines = ["theta,rho,region,nu_re,nu_im"]
+    for th, rho, region, nu in zip(thetas, rhos, regions, nus):
+        lines.append(f"{th:.17g},{rho:.17g},{region.value},{nu.real:.17g},{nu.imag:.17g}")
+    return _lines(lines)
+
+
+def reference_singular_text(points) -> str:
+    lines = ["theta,rho,residual,tangential"]
+    for p in points:
+        lines.append(f"{_fmt(p.theta)},{_fmt(p.rho)},{_fmt(p.residual)},{int(p.tangential)}")
+    return _lines(lines)
+
+
+def reference_surface_text(surface, magic: str, floor: float) -> str:
+    lines = [magic]
+    for tag, h in (("planar", surface.planar), ("height", surface.height)):
+        outer = "inf" if not np.isfinite(h.outer_radius) else _fmt(h.outer_radius)
+        lines.append(f"{tag}.annulus {_fmt(h.inner_radius)} {outer}")
+        lines.append(f"{tag}.log {_fmt(h.log_coeff.real)} {_fmt(h.log_coeff.imag)}")
+        n0 = h.truncation
+        for i, (a, b) in enumerate(zip(h.holo, h.antiholo)):
+            if abs(a) <= floor and abs(b) <= floor:
+                continue
+            lines.append(
+                f"{tag} {i - n0} {_fmt(a.real)} {_fmt(a.imag)} {_fmt(b.real)} {_fmt(b.imag)}"
+            )
+    return _lines(lines)
+
+
+def series_scale(h: HarmonicOnAnnulus, radii) -> np.ndarray:
+    """1 + sum |a_n| rho^n + |b_n| rho^-n + |c| |ln rho| per radius: the size
+    against which a value of h on the circle |z| = rho is rounded."""
+    rho = np.asarray(radii, dtype=float)[:, None]
+    n = np.arange(-h.truncation, h.truncation + 1)
+    terms = np.abs(h.holo) * rho**n + np.abs(h.antiholo) * rho ** (-n)
+    return 1.0 + terms.sum(axis=1) + abs(h.log_coeff) * np.abs(np.log(rho[:, 0]))

@@ -12,7 +12,10 @@ from maxsurf.annulus import (
     estimate_annulus,
     fourier_analyze,
     fourier_synthesize,
+    polar_grid,
 )
+
+from conftest import series_scale
 
 
 def thetas(count):
@@ -187,3 +190,44 @@ class TestHarmonicOnAnnulus:
         for z, v in zip(pts, vec):
             assert abs(h.eval(complex(z)) - v) < 1e-15
         assert isinstance(h.eval(1.5), complex)
+
+
+class TestEvalPolar:
+    """The per-circle FFT evaluator against the pointwise series."""
+
+    @staticmethod
+    def harmonic(rng, truncation, log_coeff, annulus=(0.5, 2.0)):
+        # Coefficients sized so that no term outgrows the annulus.
+        n = np.arange(-truncation, truncation + 1)
+        decay = np.where(n > 0, annulus[1], 1.0 / annulus[0]) ** -np.abs(n)
+        holo = decay * (rng.normal(size=n.size) + 1j * rng.normal(size=n.size))
+        anti = decay[::-1] * (rng.normal(size=n.size) + 1j * rng.normal(size=n.size))
+        anti[truncation] = 0.0
+        return HarmonicOnAnnulus(holo, anti, log_coeff, *annulus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        truncation=st.integers(1, 64),
+        # The second branch keeps folding cases (n_theta < 2N + 1) common.
+        n_theta=st.one_of(st.integers(1, 300), st.integers(1, 16)),
+        log_coeff=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eval_on_the_polar_grid(self, truncation, n_theta, log_coeff, seed):
+        rng = np.random.default_rng(seed)
+        h = self.harmonic(rng, truncation, log_coeff)
+        edge = 1e-9
+        radii = np.concatenate([
+            [0.5 * (1 + edge), 2.0 * (1 - edge), 1.0],
+            np.exp(rng.uniform(np.log(0.5), np.log(2.0), 3)),
+        ])
+        got = h.eval_polar(radii, n_theta)
+        want = h.eval(polar_grid(radii, n_theta))
+        assert got.shape == (len(radii), n_theta)
+        assert np.all(np.abs(got - want) <= 1e-13 * series_scale(h, radii)[:, None])
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, 0.4, 2.5, np.inf])
+    def test_radii_outside_the_annulus_raise(self, bad):
+        h = HarmonicOnAnnulus.from_modes(holo={1: 1.0}, log_coeff=0.5, annulus=(0.5, 2.0))
+        with pytest.raises(DomainError):
+            h.eval_polar([1.0, bad], 8)

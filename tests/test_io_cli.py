@@ -9,10 +9,15 @@ import sys
 import numpy as np
 import pytest
 
+import conftest
 import maxsurf
 from maxsurf import cli, fileio
-from maxsurf.annulus import HarmonicOnAnnulus
-from maxsurf.surface import MaximalSurface
+from maxsurf.annulus import HarmonicOnAnnulus, circle_angles, polar_grid
+from maxsurf.surface import MaximalSurface, Region, SingularPoint
+
+# Values whose text is easy to get wrong: signed zero, the smallest
+# subnormal, an integer-valued float past 2^53, a short decimal, nan and inf.
+AWKWARD = [-0.0, 5e-324, 1e16, 2.5, np.nan, np.inf, -np.inf, 1.0 / 3.0]
 
 
 def write_json(path, payload):
@@ -157,6 +162,116 @@ class TestExports:
         rows = [ln.split(",")[2:] for ln in csv.read_text().splitlines()[1:]]
         assert len(vertices) == 16 * 8
         assert rows == vertices
+
+
+class TestTableBytes:
+    """fileio's one-%-operation tables write what the per-line writers wrote."""
+
+    @staticmethod
+    def awkward_grid(n_theta, n_rho):
+        count = n_theta * n_rho
+        values = np.resize(np.array(AWKWARD), 3 * count).reshape(3, count)
+        return (np.resize(np.array(AWKWARD), n_theta),
+                np.resize(np.array(AWKWARD[::-1]), n_rho), *values)
+
+    @pytest.mark.parametrize("n_theta, n_rho", [(4, 3), (1, 1)])
+    def test_exports_of_awkward_values(self, monkeypatch, tmp_path, catenoid, n_theta, n_rho):
+        grid = self.awkward_grid(n_theta, n_rho)
+        monkeypatch.setattr(fileio, "_sample_grid", lambda *args: grid)
+        thetas, radii, xs, ys, ts = grid
+        mesh, csv = tmp_path / "s.mesh", tmp_path / "s.csv"
+        fileio.export_mesh(catenoid, str(mesh), n_theta, n_rho)
+        fileio.export_point_cloud(catenoid, str(csv), n_theta, n_rho)
+        assert mesh.read_text() == conftest.reference_mesh_text(xs, ys, ts, n_theta, n_rho)
+        assert csv.read_text() == conftest.reference_csv_text(
+            np.tile(thetas, n_rho), np.repeat(radii, n_theta), xs, ys, ts)
+
+    @pytest.mark.parametrize("n_theta, n_rho", [(1, 2), (3, 2), (16, 8), (256, 128)])
+    def test_mesh_of_a_surface(self, tmp_path, catenoid, n_theta, n_rho):
+        mesh = tmp_path / "s.mesh"
+        fileio.export_mesh(catenoid, str(mesh), n_theta, n_rho, (0.5, 2.0))
+        _, _, xs, ys, ts = fileio._sample_grid(catenoid, n_theta, n_rho, (0.5, 2.0))
+        assert mesh.read_bytes() == \
+            conftest.reference_mesh_text(xs, ys, ts, n_theta, n_rho).encode()
+
+    def test_singular_csv(self, tmp_path):
+        points = [SingularPoint(x, y, z, bool(i % 2)) for i, (x, y, z)
+                  in enumerate(zip(AWKWARD, AWKWARD[::-1], np.roll(AWKWARD, 3)))]
+        for rows in (points, []):
+            out = tmp_path / "sing.csv"
+            fileio.write_singular_csv(str(out), rows)
+            assert out.read_bytes() == conftest.reference_singular_text(rows).encode()
+
+    def test_gauss_map_csv(self, monkeypatch, tmp_path, catenoid):
+        surface_file = str(tmp_path / "cat.surface.txt")
+        fileio.save_surface(catenoid, surface_file)
+        n_theta, n_rho = 4, 3
+        count = n_theta * n_rho
+        nus = np.empty(count, dtype=complex)
+        nus.real, nus.imag = np.resize(AWKWARD, count), np.resize(AWKWARD[::-1], count)
+        regions = np.resize(np.array(list(Region), dtype=object), count)
+        monkeypatch.setattr(cli, "gauss_map", lambda surface, z: nus)
+        monkeypatch.setattr(cli, "classify_point", lambda surface, z: regions)
+        out = tmp_path / "gauss.csv"
+        assert cli.main(["gauss-map", "--surface", surface_file, "--out", str(out),
+                         "--grid", str(n_theta), str(n_rho), "--rho-range", "0.5", "2"]) == 0
+        radii = np.geomspace(0.5, 2.0, n_rho)
+        assert out.read_bytes() == conftest.reference_gauss_text(
+            np.tile(circle_angles(n_theta), n_rho), np.repeat(radii, n_theta),
+            regions, nus).encode()
+
+    def test_surface_file(self, tmp_path):
+        # Values at and just above COEFF_FLOOR (1e-13) test which modes are kept.
+        values = np.resize(np.array(AWKWARD[:4] + [1e-13, 2e-13, -7.25]), 2 * 9)
+        np.random.default_rng(11).shuffle(values)
+        holo = {n: complex(values[n + 4], values[n + 13]) for n in range(-4, 5)}
+        anti = {n: complex(values[n + 13], -values[n + 4]) for n in range(-4, 5) if n}
+        surface = MaximalSurface(
+            HarmonicOnAnnulus.from_modes(holo=holo, antiholo=anti, log_coeff=-0.0 + 2.5j,
+                                         annulus=(0.0, np.inf)),
+            HarmonicOnAnnulus.from_modes(holo={0: 5e-324}, annulus=(1.0 / 3.0, 1e16)),
+        )
+        out = tmp_path / "s.surface.txt"
+        fileio.save_surface(surface, str(out))
+        assert out.read_bytes() == conftest.reference_surface_text(
+            surface, fileio.COEFF_MAGIC, fileio.COEFF_FLOOR).encode()
+
+    @pytest.mark.parametrize("fmt", ["mesh", "csv"])
+    def test_cli_sample_of_a_truncation_64_surface(self, tmp_path, fmt):
+        rng = np.random.default_rng(64)
+        n = np.arange(-64, 65)
+        decay = 0.7 ** np.abs(n)  # mode 64 stays above COEFF_FLOOR in the file
+
+        def harmonic(log_coeff):
+            holo = decay * (rng.normal(size=n.size) + 1j * rng.normal(size=n.size))
+            anti = decay * (rng.normal(size=n.size) + 1j * rng.normal(size=n.size))
+            anti[64] = 0.0
+            return HarmonicOnAnnulus(holo, anti, log_coeff, 0.75, 1.35)
+
+        surface_file = str(tmp_path / "t64.surface.txt")
+        fileio.save_surface(MaximalSurface(harmonic(0.4 - 0.3j), harmonic(0.9)), surface_file)
+        surface = fileio.load_surface(surface_file)
+        assert surface.planar.truncation == surface.height.truncation == 64
+        out = tmp_path / f"t64.{fmt}"
+        assert cli.main(["sample", "--surface", surface_file, "--out", str(out),
+                         "--grid", "16", "8", "--rho-range", "0.8", "1.25",
+                         "--format", fmt]) == 0
+        lines = out.read_text().splitlines()
+        if fmt == "mesh":
+            table = [ln.split()[1:] for ln in lines if ln.startswith("v ")]
+        else:
+            table = [ln.split(",") for ln in lines[1:]]
+            thetas, rhos = np.array(table, dtype=float)[:, :2].T
+            assert np.array_equal(thetas, np.tile(circle_angles(16), 8))
+            assert np.array_equal(rhos, np.repeat(np.geomspace(0.8, 1.25, 8), 16))
+            table = [row[2:] for row in table]
+        xs, ys, ts = np.array(table, dtype=float).T
+        radii = np.geomspace(0.8, 1.25, 8)
+        grid = polar_grid(radii, 16)
+        for got, want, h in ((xs + 1j * ys, surface.planar.eval(grid), surface.planar),
+                             (ts, surface.height.eval(grid).real, surface.height)):
+            tol = 1e-13 * np.repeat(conftest.series_scale(h, radii), 16)
+            assert np.all(np.abs(got - want.ravel()) <= tol)
 
 
 class TestCli:
