@@ -9,6 +9,7 @@ harmonic pair whose singular set contains the unit circle.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .surface import (
 )
 
 CONSTRAINT_TOL = 1e-10
-TAIL_TOL = 1e-10
 
 
 class BjorlingDataError(ValueError):
@@ -86,17 +86,7 @@ class ValidationReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "curve_nullity": self.curve_nullity,
-            "radial_nullity": self.radial_nullity,
-            "orthogonality": self.orthogonality,
-            "curve_height_realness": self.curve_height_realness,
-            "radial_height_realness": self.radial_height_realness,
-            "both_identically_zero": self.both_identically_zero,
-            "max_tail": self.max_tail,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**dataclasses.asdict(self), "passed": self.passed}
 
 
 def _boundary_fields(data: BjorlingData, n_samples: int):
@@ -256,11 +246,7 @@ class CircleIdentityReport:
     singularity: float
 
     def as_dict(self) -> dict:
-        return {
-            "planar_conformality": self.planar_conformality,
-            "height_conformality": self.height_conformality,
-            "singularity": self.singularity,
-        }
+        return dataclasses.asdict(self)
 
 
 def circle_identities_report(

@@ -40,6 +40,24 @@ DEFAULT_CONFIG = {
 }
 
 
+def _number(value) -> bool:
+    """A finite JSON number; a bool is not one, and a huge int is not finite."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _count(least: int):
+    return (lambda value: type(value) is int and value >= least), f"an integer >= {least}"
+
+
+_TOL = (lambda value: _number(value) and value > 0.0), "a positive number"
+CONFIG_TYPES = {  # each key's test, and what the error says its value must be
+    "truncation": _count(1), "grid_theta": _count(1), "grid_rho": _count(1),
+    "scan_points": _count(2), "residual_tol": _TOL, "constraint_tol": _TOL,
+    "bracket": (lambda value: type(value) is list and len(value) == 2
+                and all(map(_number, value)), "two numbers"),
+}
+
+
 def _load_config(path_from_flag: str | None) -> dict:
     config = dict(DEFAULT_CONFIG)
     for path in (os.environ.get("MAXSURF_CONFIG"), path_from_flag):
@@ -52,6 +70,11 @@ def _load_config(path_from_flag: str | None) -> dict:
             raise fileio.SpecParseError(f"bad config {path}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise fileio.SpecParseError(f"config {path} must be a JSON object")
+        for key, value in overrides.items():
+            valid, kind = CONFIG_TYPES.get(key, (None, None))
+            if not (valid and valid(value)):
+                problem = f"must be {kind}" if valid else "is not a config key"
+                raise fileio.SpecParseError(f"config {path}: {key!r} {problem}, got {value!r}")
         config.update(overrides)
     return config
 

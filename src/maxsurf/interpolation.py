@@ -6,7 +6,7 @@ circle to a single point of Lorentz-Minkowski space.  Encoding the curve in
 the (z^n - 1/zbar^n) + log|z| basis turns the question into an algebraic
 condition on the weighted Fourier coefficients: the radial derivative of the
 candidate surface must be a null field along the unit circle.  The search for
-admissible r0 scans that condition's aggregate residual.
+admissible r0 bisects the slope of that condition's squared residual.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from .annulus import CircleFunction, HarmonicOnAnnulus, circle_angles, estimate_annulus
 from .surface import (
     MaximalSurface,
+    _bisect_brackets,
     conformality_residual,
     grid_points,
     is_degenerate,
@@ -28,7 +29,7 @@ RESIDUAL_TOL = 1e-8
 SPACELIKE_MARGIN = 1e-10
 DEFAULT_BRACKET = (0.01, 100.0)
 SCAN_POINTS = 512
-GOLDEN_WIDTH = 1e-10
+SLOPE_CHUNK = 16  # radii per kernel call in the radius search
 UNIT_GAP = 1e-6  # relative exclusion zone around r0 = 1
 
 
@@ -69,69 +70,74 @@ class ModifiedCoefficients:
     ``planar[k]``/``height[k]`` hold the weights of (z^n - 1/zbar^n) for
     n = k - truncation; ``log_planar``/``log_height`` weight ln|z|.  The
     weights are exactly the inverse of evaluating that basis on |z| = r0, so
-    synthesis at r0 reproduces the curve.
+    synthesis at r0 reproduces the curve.  For an array of radii every field
+    gains a leading axis, one row per radius.
     """
 
-    r0: float
-    log_planar: complex
-    log_height: float
+    r0: float | np.ndarray
+    log_planar: complex | np.ndarray
+    log_height: float | np.ndarray
     planar: np.ndarray
     height: np.ndarray
     truncation: int
 
 
-def modified_coeffs(
-    curve: SpacelikeCurve, r0: float, truncation: int | None = None
-) -> ModifiedCoefficients:
-    if r0 <= 0.0 or r0 == 1.0:
-        raise InterpolationError("the candidate radius must be positive and != 1")
+def modified_coeffs(curve: SpacelikeCurve, r0) -> ModifiedCoefficients:
+    """The weights at radius r0, or one row per radius of an array r0."""
+    r = np.asarray(r0, dtype=float)
+    if not np.all(np.isfinite(r) & (r > 0.0) & (r != 1.0)):
+        raise InterpolationError("the candidate radius must be finite, positive and != 1")
     if curve.height.realness_error() > 1e-9 * (1.0 + curve.height.max_abs()):
         raise InterpolationError("height component of the curve is not real")
-    if truncation is None:
-        truncation = max(curve.planar.max_mode, curve.height.max_mode, 1)
-    n = np.arange(-truncation, truncation + 1)
+    K = max(curve.planar.max_mode, curve.height.max_mode, 1)
+    n = np.arange(-K, K + 1)
+    log_r = np.log(r)
     # r0^n / (r0^{2n} - 1) = 1 / (2 sinh(n ln r0)); the sinh form keeps full
     # relative accuracy near r0 = 1, where r0^n - r0^{-n} cancels.
     with np.errstate(over="ignore"):
-        gap = 2.0 * np.sinh(n * np.log(float(r0)))
+        gap = 2.0 * np.sinh(np.multiply.outer(log_r, n))
     weight = np.divide(1.0, gap, out=np.zeros_like(gap), where=n != 0)
-    f = curve.planar.coeff_array(truncation)
-    g = curve.height.coeff_array(truncation)
+    f = curve.planar.coeff_array(K)
+    g = curve.height.coeff_array(K)
     return ModifiedCoefficients(
-        r0=float(r0),
-        log_planar=complex(f[truncation]) / np.log(r0),
-        log_height=g[truncation].real / np.log(r0),
+        r0=r[()],
+        # Part by part: numpy's complex / float would round unlike Python's.
+        log_planar=f[K].real / log_r + 1j * (f[K].imag / log_r),
+        log_height=g[K].real / log_r,
         planar=np.where(n != 0, f * weight, 0.0),
         height=np.where(n != 0, g * weight, 0.0),
-        truncation=truncation,
+        truncation=K,
     )
 
 
-def series_residuals(mc: ModifiedCoefficients) -> tuple[dict[int, complex], float]:
-    """Fourier residuals of the nullity of the radial field on |z| = 1.
+def _residual_modes(mc: ModifiedCoefficients) -> np.ndarray:
+    """Fourier modes -2K..2K of the nullity of the radial field on |z| = 1.
 
     The candidate surface has radial derivative P_r = sum 2 n c_n e^{i n theta}
     + c (planar) and the analogous real H_r (height); nullity means
-    |P_r|^2 - H_r^2 = 0.  Residual k is the k-th Fourier coefficient of that
-    difference, for 0 < |k| <= 2K; k = 0 is returned separately as a real
-    scalar.  The product has degree 2K, so M >= 4K + 1 samples on the circle
-    give every coefficient without aliasing.
+    |P_r|^2 - H_r^2 = 0.  The product has degree 2K, so M >= 4K + 1 samples
+    on the circle give every mode without aliasing.  One row per radius of mc.
     """
     K = mc.truncation
     M = 1 << (4 * K).bit_length()
     n = np.arange(-K, K + 1)
 
-    def radial(coeffs: np.ndarray, log_coeff: complex) -> np.ndarray:
-        spectrum = np.zeros(M, dtype=complex)
-        spectrum[n % M] = 2.0 * n * coeffs
-        spectrum[0] += log_coeff
+    def radial(coeffs: np.ndarray, log_coeff) -> np.ndarray:
+        spectrum = np.zeros(np.shape(log_coeff) + (M,), dtype=complex)
+        spectrum[..., n % M] = 2.0 * n * coeffs
+        spectrum[..., 0] += log_coeff
         return np.fft.ifft(spectrum, norm="forward")
 
     p = radial(mc.planar, mc.log_planar)
     h = radial(mc.height, mc.log_height)
     modes = np.fft.fft(np.abs(p) ** 2 - np.abs(h) ** 2, norm="forward")
-    out = {k: complex(modes[k % M]) for k in range(-2 * K, 2 * K + 1) if k}
-    return out, float(modes[0].real)
+    return modes[..., np.arange(-2 * K, 2 * K + 1) % M]
+
+
+def series_residuals(mc: ModifiedCoefficients) -> tuple[dict[int, complex], float]:
+    """`_residual_modes` at one radius: modes 0 < |k| <= 2K, and mode 0 as a real."""
+    modes, top = _residual_modes(mc), 2 * mc.truncation
+    return {k - top: complex(v) for k, v in enumerate(modes) if k != top}, float(modes[top].real)
 
 
 def scalar_residual(curve: SpacelikeCurve, r0: float) -> float:
@@ -141,24 +147,20 @@ def scalar_residual(curve: SpacelikeCurve, r0: float) -> float:
     return max(abs(zero_mode), max(abs(v) for v in residuals.values()))
 
 
-def _golden_minimize(fn, lo: float, hi: float, width: float = GOLDEN_WIDTH):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+def _slope(curve: SpacelikeCurve, t: np.ndarray) -> np.ndarray:
+    """g(t) = Re<F'(t), F(t)> = (d/dt ||F||^2) / 2 at each t = ln r0, F the modes.
+
+    F' is a central difference with step 1e-6 |t|, which never reaches r0 = 1
+    as |t| >= ln(1 + UNIT_GAP); its three rows share one kernel call.
+    """
+    g = np.empty(len(t))
+    for i in range(0, len(t), SLOPE_CHUNK):
+        x = t[i : i + SLOPE_CHUNK]
+        step = 1e-6 * np.abs(x)
+        radii = np.exp(np.concatenate([x - step, x, x + step]))
+        below, mid, above = np.split(_residual_modes(modified_coeffs(curve, radii)), 3)
+        g[i : i + SLOPE_CHUNK] = np.sum(np.conj(above - below) * mid, axis=1).real / (2.0 * step)
+    return g
 
 
 def search_r0(
@@ -169,40 +171,25 @@ def search_r0(
 ) -> list[float]:
     """All radii in the bracket where the nullity residual vanishes.
 
-    The bracket is split at 1 (where the weights blow up); each sub-bracket
-    is scanned on a log-spaced grid, local minima of the residual are refined
-    by golden section, and minima below ``residual_tol`` are kept.  An empty
-    list is the negative answer.
+    The bracket is split at 1 (where the weights blow up), and each side is
+    scanned at ``scan_points`` radii evenly spaced in t = ln r0.  Every scan
+    cell where the slope `_slope` rises from negative to non-negative holds a
+    residual minimum; all are bisected to rounding in one batched call, and
+    those with residual below ``residual_tol`` are kept.  An empty list is
+    the negative answer.
     """
     lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-    sub: list[tuple[float, float]] = []
-    if lo < 1.0:
-        sub.append((lo, min(hi, 1.0 - UNIT_GAP)))
-    if hi > 1.0:
-        sub.append((max(lo, 1.0 + UNIT_GAP), hi))
-
-    def fn(r):
-        return scalar_residual(curve, r)
-
-    roots: list[float] = []
-    for a, b in sub:
-        if b <= a:
-            continue
-        grid = np.geomspace(a, b, scan_points)
-        vals = np.array([fn(r) for r in grid])
-        for i in range(1, scan_points - 1):
-            if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-                x, fx = _golden_minimize(fn, grid[i - 1], grid[i + 1])
-                if fx < residual_tol:
-                    roots.append(x)
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-7 * max(1.0, r):
-            merged.append(r)
-    return merged
+    if not (0.0 < lo < hi < np.inf):
+        raise ValueError("bracket must satisfy 0 < lo < hi < inf")
+    sides = [(lo, min(hi, 1.0 - UNIT_GAP)), (max(lo, 1.0 + UNIT_GAP), hi)]
+    t = np.ravel([np.linspace(np.log(a), np.log(b), scan_points) for a, b in sides if a < b])
+    g = _slope(curve, t)
+    # A cell whose ends differ in sign of t joins the two sides across r0 = 1.
+    cell = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0) & (t[:-1] * t[1:] > 0.0))
+    found = _bisect_brackets(
+        lambda x, k: _slope(curve, x), t[cell], t[cell + 1], g[cell], xtol=0.0
+    )
+    return sorted(float(r) for r in np.exp(found) if scalar_residual(curve, r) < residual_tol)
 
 
 def surface_from_modified(mc: ModifiedCoefficients) -> MaximalSurface:
@@ -242,7 +229,7 @@ def build_surface(
             f"curve is not strictly spacelike (margin {margin:.3g})"
         )
     residual = scalar_residual(curve, r0)
-    if residual >= residual_tol:
+    if not residual < residual_tol:
         raise InterpolationError(
             f"nullity residual {residual:.3g} at r0 = {r0} exceeds {residual_tol:.3g}; "
             "no surface with the prescribed singularity exists at this radius"

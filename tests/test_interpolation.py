@@ -11,6 +11,7 @@ from maxsurf.annulus import CircleFunction
 from maxsurf.interpolation import (
     InterpolationError,
     SpacelikeCurve,
+    _residual_modes,
     build_surface,
     build_surface_through_point,
     family_curve,
@@ -70,6 +71,31 @@ class TestModifiedCoefficients:
     def test_rejects_unit_radius(self):
         with pytest.raises(InterpolationError):
             modified_coeffs(family_curve(2.0), 1.0)
+
+    def test_rejects_non_finite_radii(self):
+        for r0 in (math.nan, math.inf, -math.inf, [2.0, math.nan]):
+            with pytest.raises(InterpolationError, match="finite"):
+                modified_coeffs(family_curve(2.0), r0)
+
+    @pytest.mark.parametrize("K", range(1, 17))
+    def test_batched_rows_equal_per_radius_calls(self, K):
+        rng = np.random.default_rng(K)
+        n = np.arange(-K, K + 1)
+        height = rng.normal(size=n.size) + 1j * rng.normal(size=n.size)
+        curve = SpacelikeCurve(
+            CircleFunction(rng.normal(size=n.size) + 1j * rng.normal(size=n.size)),
+            CircleFunction(0.5 * (height + np.conj(height[::-1]))),
+        )
+        radii = np.concatenate(
+            [np.exp(rng.uniform(-3.0, 3.0, 12)), [1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]]
+        )
+        batch = modified_coeffs(curve, radii)
+        rows = _residual_modes(batch)
+        for i, r0 in enumerate(radii):
+            one = modified_coeffs(curve, r0)
+            for field in ("r0", "log_planar", "log_height", "planar", "height"):
+                assert np.array_equal(getattr(batch, field)[i], getattr(one, field)), field
+            assert np.array_equal(rows[i], _residual_modes(one))
 
     def test_rejects_complex_height(self):
         for height in ({0: 1.0j}, {0: 1.0, 1: 0.1j}):
@@ -183,9 +209,30 @@ class TestSearch:
                 assert spread < prev
             prev = spread
 
+    @pytest.mark.parametrize("eps", [1.197e-5, 3e-6])
+    def test_widened_circle_roots_near_one_on_a_coarse_scan(self, eps):
+        # At 64 scan points the roots lie a few cells from r0 = 1, where the
+        # residual is flat.
+        roots = search_r0(circle_curve(1.0 + eps, 1.0), scan_points=64)
+        assert len(roots) == 2, roots
+        assert roots[0] * roots[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_family_roots_are_exact_and_all_build(self):
+        rng = np.random.default_rng(36)
+        for _ in range(36):
+            c = math.exp(rng.choice([-1.0, 1.0]) * rng.uniform(0.15, math.log(4.0)))
+            curve = family_curve(c)
+            roots = search_r0(curve)
+            assert len(roots) == 2, (c, roots)
+            for root, exact in zip(roots, sorted([c, 1.0 / c])):
+                assert root == pytest.approx(exact, rel=1e-13, abs=0.0), c
+                build_surface(curve, root)
+
     def test_bad_bracket(self, catenoid_curve):
         with pytest.raises(ValueError):
             search_r0(catenoid_curve, bracket=(2.0, 1.0))
+        with pytest.raises(ValueError):
+            search_r0(catenoid_curve, bracket=(0.5, math.inf))
 
 
 class TestBuildSurface:

@@ -407,6 +407,14 @@ class TestCli:
         report = json.loads((tmp_path / "fixed.report.json").read_text())
         assert report["roots"] == [2.0]
 
+    @pytest.mark.parametrize("r0", ["nan", "inf", "-1"])
+    def test_interpolate_rejects_a_bad_explicit_radius(self, catenoid_curve_spec, tmp_path,
+                                                       capsys, r0):
+        code = cli.main(["interpolate", "--spec", catenoid_curve_spec,
+                         "--out", str(tmp_path / "bad"), "--r0", r0])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(f"r0 = {float(r0)}: ")
+
     def test_sample_and_singular_set(self, catenoid_bjorling_spec, tmp_path):
         out = str(tmp_path / "cat")
         cli.main(["solve-bjorling", "--spec", catenoid_bjorling_spec, "--out", out])
@@ -504,6 +512,31 @@ class TestCli:
         assert config["truncation"] == cli.DEFAULT_CONFIG["truncation"]
         monkeypatch.setenv("MAXSURF_CONFIG", str(tmp_path / "missing.json"))
         assert cli.main(["validate", "--spec", catenoid_curve_spec]) == 3
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"bracket": 5}, "bracket"),
+            ({"bracket": [0.1, float("nan")]}, "bracket"),
+            ({"scan_points": 2.5}, "scan_points"),
+            ({"scan_points": "64"}, "scan_points"),
+            ({"scan_points": 1}, "scan_points"),
+            ({"truncation": True}, "truncation"),
+            ({"residual_tol": None}, "residual_tol"),
+            ({"constraint_tol": -1e-10}, "constraint_tol"),
+            ({"scan_point": 64}, "scan_point"),
+        ],
+        ids=["bracket-number", "bracket-nan", "count-fraction", "count-string",
+             "count-too-small", "count-bool", "tol-null", "tol-negative", "unknown-key"],
+    )
+    def test_bad_config_values_exit_3(self, tmp_path, catenoid_curve_spec, capsys,
+                                      override, key):
+        config = write_json(tmp_path / "bad.json", override)
+        code = cli.main(["--config", config, "interpolate", "--spec", catenoid_curve_spec,
+                         "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert f"{key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.report.json").exists()
 
     def test_repeated_runs_are_byte_identical(self, catenoid_bjorling_spec, tmp_path):
         out_a = str(tmp_path / "a")
