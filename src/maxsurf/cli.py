@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 constraint or solver failure, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -171,7 +172,7 @@ def cmd_interpolate(args, config) -> int:
         path = f"{args.out}.r0_{i}.surface.txt"
         fileio.save_surface(surface, path)
         surfaces.append({"r0": r0, "surface_file": os.path.basename(path),
-                         "residual": interpolation.scalar_residual(curve, r0)})
+                         "residual": surface.residual})
     fileio.write_report(
         args.out + ".report.json",
         {
@@ -214,7 +215,7 @@ def cmd_gauss_map(args, config) -> int:
     thetas, radii = fileio.export_grid(surface, *args.grid, args.rho_range)
     grid = polar_grid(radii, len(thetas)).ravel()
     regions = [region.value for region in classify_point(surface, grid)]
-    nus = gauss_map(surface, grid)  # NaN at the singular points
+    nus = gauss_map(surface, grid)  # NaN at the singular points; reuses the derivatives
     fileio.write_text(args.out, "theta,rho,region,nu_re,nu_im\n" + fileio.format_rows(
         "%s,%s,%s,%.17g,%.17g\n", *fileio.grid_labels(thetas, radii), regions,
         nus.real, nus.imag))
@@ -232,6 +233,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # one parser per process: add_argument builds help formatters
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxsurf",

@@ -6,7 +6,8 @@ circle to a single point of Lorentz-Minkowski space.  Encoding the curve in
 the (z^n - 1/zbar^n) + log|z| basis turns the question into an algebraic
 condition on the weighted Fourier coefficients: the radial derivative of the
 candidate surface must be a null field along the unit circle.  The search for
-admissible r0 bisects the slope of that condition's squared residual.
+admissible r0 bisects the slope of that condition's squared residual, odd in
+t = ln r0.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .annulus import CircleFunction, HarmonicOnAnnulus, circle_angles, estimate_annulus
 from .surface import (
+    _BATCH_ENTRIES,
     MaximalSurface,
     _bisect_brackets,
     conformality_residual,
@@ -29,7 +31,7 @@ RESIDUAL_TOL = 1e-8
 SPACELIKE_MARGIN = 1e-10
 DEFAULT_BRACKET = (0.01, 100.0)
 SCAN_POINTS = 512
-SLOPE_CHUNK = 16  # radii per kernel call in the radius search
+SEARCH_SECTIONS = 8  # bracket sections per kernel call in the radius search
 UNIT_GAP = 1e-6  # relative exclusion zone around r0 = 1
 
 
@@ -82,14 +84,20 @@ class ModifiedCoefficients:
     truncation: int
 
 
+def _curve_arrays(curve: SpacelikeCurve) -> tuple[int, np.ndarray, np.ndarray]:
+    """K and the planar and height coefficients of modes -K..K, checked."""
+    if curve.height.realness_error() > 1e-9 * (1.0 + curve.height.max_abs()):
+        raise InterpolationError("height component of the curve is not real")
+    K = max(curve.planar.max_mode, curve.height.max_mode, 1)
+    return K, curve.planar.coeff_array(K), curve.height.coeff_array(K)
+
+
 def modified_coeffs(curve: SpacelikeCurve, r0) -> ModifiedCoefficients:
     """The weights at radius r0, or one row per radius of an array r0."""
     r = np.asarray(r0, dtype=float)
     if not np.all(np.isfinite(r) & (r > 0.0) & (r != 1.0)):
         raise InterpolationError("the candidate radius must be finite, positive and != 1")
-    if curve.height.realness_error() > 1e-9 * (1.0 + curve.height.max_abs()):
-        raise InterpolationError("height component of the curve is not real")
-    K = max(curve.planar.max_mode, curve.height.max_mode, 1)
+    K, f, g = _curve_arrays(curve)
     n = np.arange(-K, K + 1)
     log_r = np.log(r)
     # r0^n / (r0^{2n} - 1) = 1 / (2 sinh(n ln r0)); the sinh form keeps full
@@ -97,8 +105,6 @@ def modified_coeffs(curve: SpacelikeCurve, r0) -> ModifiedCoefficients:
     with np.errstate(over="ignore"):
         gap = 2.0 * np.sinh(np.multiply.outer(log_r, n))
     weight = np.divide(1.0, gap, out=np.zeros_like(gap), where=n != 0)
-    f = curve.planar.coeff_array(K)
-    g = curve.height.coeff_array(K)
     return ModifiedCoefficients(
         r0=r[()],
         # Part by part: numpy's complex / float would round unlike Python's.
@@ -108,6 +114,16 @@ def modified_coeffs(curve: SpacelikeCurve, r0) -> ModifiedCoefficients:
         height=np.where(n != 0, g * weight, 0.0),
         truncation=K,
     )
+
+
+def _radial_nodes(coeffs: np.ndarray, log_coeff, M: int) -> np.ndarray:
+    """sum 2 n coeffs[n + K] e^{i n theta} + log_coeff on M > 2K nodes, per leading index."""
+    K = coeffs.shape[-1] // 2
+    n = np.arange(-K, K + 1)
+    spectrum = np.zeros(np.shape(log_coeff) + (M,), dtype=complex)
+    spectrum[..., n % M] = 2.0 * n * coeffs
+    spectrum[..., 0] += log_coeff
+    return np.fft.ifft(spectrum, norm="forward")
 
 
 def _residual_modes(mc: ModifiedCoefficients) -> np.ndarray:
@@ -120,16 +136,8 @@ def _residual_modes(mc: ModifiedCoefficients) -> np.ndarray:
     """
     K = mc.truncation
     M = 1 << (4 * K).bit_length()
-    n = np.arange(-K, K + 1)
-
-    def radial(coeffs: np.ndarray, log_coeff) -> np.ndarray:
-        spectrum = np.zeros(np.shape(log_coeff) + (M,), dtype=complex)
-        spectrum[..., n % M] = 2.0 * n * coeffs
-        spectrum[..., 0] += log_coeff
-        return np.fft.ifft(spectrum, norm="forward")
-
-    p = radial(mc.planar, mc.log_planar)
-    h = radial(mc.height, mc.log_height)
+    p = _radial_nodes(mc.planar, mc.log_planar, M)
+    h = _radial_nodes(mc.height, mc.log_height, M)
     modes = np.fft.fft(np.abs(p) ** 2 - np.abs(h) ** 2, norm="forward")
     return modes[..., np.arange(-2 * K, 2 * K + 1) % M]
 
@@ -147,20 +155,34 @@ def scalar_residual(curve: SpacelikeCurve, r0: float) -> float:
     return max(abs(zero_mode), max(abs(v) for v in residuals.values()))
 
 
-def _slope(curve: SpacelikeCurve, t: np.ndarray) -> np.ndarray:
-    """g(t) = Re<F'(t), F(t)> = (d/dt ||F||^2) / 2 at each t = ln r0, F the modes.
+def _slope_kernel(curve: SpacelikeCurve):
+    """t -> g(t) = Re<F'(t), F(t)> = (d/dt ||F||^2) / 2 at each t = ln r0 of an
+    array, F the modes of `_residual_modes`; the curve is checked once, here.
 
-    F' is a central difference with step 1e-6 |t|, which never reaches r0 = 1
-    as |t| >= ln(1 + UNIT_GAP); its three rows share one kernel call.
+    P, H and their t-derivatives (of the weights 1/(2 sinh(n t)) and 1/t) share
+    one inverse FFT.  f f', f = |P|^2 - |H|^2, has band 4K < M, so by Parseval
+    g = mean(f f') exactly; odd weights give g(-t) = -g(t) bit for bit.
     """
-    g = np.empty(len(t))
-    for i in range(0, len(t), SLOPE_CHUNK):
-        x = t[i : i + SLOPE_CHUNK]
-        step = 1e-6 * np.abs(x)
-        radii = np.exp(np.concatenate([x - step, x, x + step]))
-        below, mid, above = np.split(_residual_modes(modified_coeffs(curve, radii)), 3)
-        g[i : i + SLOPE_CHUNK] = np.sum(np.conj(above - below) * mid, axis=1).real / (2.0 * step)
-    return g
+    K, f, h = _curve_arrays(curve)
+    n, M = np.arange(-K, K + 1), 1 << (4 * K).bit_length()
+    coeffs, logs = np.array([f, f, h, h])[:, None], np.array([f[K], f[K], h[K].real, h[K].real])
+    rows = max(1, _BATCH_ENTRIES // (4 * M))  # 4 rows x M nodes per t
+
+    def slope(t: np.ndarray) -> np.ndarray:
+        g = np.empty(len(t))
+        for i in range(0, len(t), rows):
+            x = t[i : i + rows]
+            nx = np.multiply.outer(x, n)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                w = np.where(n != 0, 0.5 / np.sinh(nx), 0.0)
+                dw = np.where(n != 0, -n * w / np.tanh(nx), 0.0)  # -n cosh / (2 sinh^2)
+            weights = np.array([1.0 / x, -1.0 / (x * x)] * 2)
+            p, dp, q, dq = _radial_nodes(coeffs * np.array([w, dw, w, dw]), logs[:, None] * weights, M)
+            rate = 2.0 * (np.conj(p) * dp - np.conj(q) * dq).real
+            g[i : i + rows] = np.mean((np.abs(p) ** 2 - np.abs(q) ** 2) * rate, axis=1)
+        return g
+
+    return slope
 
 
 def search_r0(
@@ -171,25 +193,30 @@ def search_r0(
 ) -> list[float]:
     """All radii in the bracket where the nullity residual vanishes.
 
-    The bracket is split at 1 (where the weights blow up), and each side is
-    scanned at ``scan_points`` radii evenly spaced in t = ln r0.  Every scan
-    cell where the slope `_slope` rises from negative to non-negative holds a
-    residual minimum; all are bisected to rounding in one batched call, and
-    those with residual below ``residual_tol`` are kept.  An empty list is
-    the negative answer.
+    The residual is even in t = ln r0, so only tau = |t| is scanned, at
+    ``scan_points`` values evenly spaced over the bracket's range of tau
+    outside UNIT_GAP of r0 = 1.  Every scan cell where `_slope_kernel` rises
+    from negative to non-negative holds a residual minimum; all are refined
+    to rounding together, SEARCH_SECTIONS sections per kernel call.  A
+    minimum with residual below ``residual_tol`` yields whichever of e^-tau
+    and e^tau lie in the bracket.  An empty list is the negative answer.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < np.inf):
         raise ValueError("bracket must satisfy 0 < lo < hi < inf")
-    sides = [(lo, min(hi, 1.0 - UNIT_GAP)), (max(lo, 1.0 + UNIT_GAP), hi)]
-    t = np.ravel([np.linspace(np.log(a), np.log(b), scan_points) for a, b in sides if a < b])
-    g = _slope(curve, t)
-    # A cell whose ends differ in sign of t joins the two sides across r0 = 1.
-    cell = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0) & (t[:-1] * t[1:] > 0.0))
-    found = _bisect_brackets(
-        lambda x, k: _slope(curve, x), t[cell], t[cell + 1], g[cell], xtol=0.0
-    )
-    return sorted(float(r) for r in np.exp(found) if scalar_residual(curve, r) < residual_tol)
+    ends = np.abs(np.log([lo, hi]))  # tau at the bracket's ends
+    start = max(ends.min() if lo > 1.0 or hi < 1.0 else 0.0, np.log(1.0 + UNIT_GAP))
+    if not start < ends.max():
+        return []
+    tau = np.linspace(start, ends.max(), scan_points)
+    slope = _slope_kernel(curve)
+    g = slope(tau)
+    cell = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
+    found = _bisect_brackets(lambda x, k: slope(x), tau[cell], tau[cell + 1], g[cell],
+                             xtol=0.0, sections=SEARCH_SECTIONS)
+    kept = [x for x in found if scalar_residual(curve, float(np.exp(x))) < residual_tol]
+    pairs = np.exp(np.concatenate([-np.array(kept), kept]))
+    return sorted(float(r) for r in pairs if lo <= r <= hi and abs(r - 1.0) >= UNIT_GAP)
 
 
 def surface_from_modified(mc: ModifiedCoefficients) -> MaximalSurface:
@@ -211,13 +238,19 @@ def surface_from_modified(mc: ModifiedCoefficients) -> MaximalSurface:
     )
 
 
+@dataclass(frozen=True)
+class _CheckedSurface(MaximalSurface):
+    residual: float = 0.0  # the `scalar_residual` that `build_surface` checked
+
+
 def build_surface(
     curve: SpacelikeCurve,
     r0: float,
     residual_tol: float = RESIDUAL_TOL,
     verify_tol: float = 1e-9,
 ) -> MaximalSurface:
-    """The maximal surface through the curve at radius r0, fully verified.
+    """The maximal surface through the curve at radius r0, fully verified;
+    its ``residual`` is `scalar_residual` at r0.
 
     Raises when the nullity residual at r0 is too large, the curve is not
     strictly spacelike, or any postcondition (unit circle collapsing to the
@@ -234,7 +267,8 @@ def build_surface(
             f"nullity residual {residual:.3g} at r0 = {r0} exceeds {residual_tol:.3g}; "
             "no surface with the prescribed singularity exists at this radius"
         )
-    surface = surface_from_modified(modified_coeffs(curve, r0))
+    built = surface_from_modified(modified_coeffs(curve, r0))
+    surface = _CheckedSurface(built.planar, built.height, residual)
 
     thetas = circle_angles(256)
     circle = np.exp(1j * thetas)

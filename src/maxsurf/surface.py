@@ -119,10 +119,19 @@ def _sides(hz, hzb, tol: float) -> np.ndarray:
     return (ahzb < ahz - tol).astype(int) - (ahzb > ahz + tol)
 
 
+def _planar_derivatives(surface: MaximalSurface, z):
+    """(h_z, h_zbar) at z.  The surface keeps the last call's points and values,
+    so that `classify_point` and then `gauss_map` on one grid evaluate it once."""
+    last = surface.__dict__.get("_last_derivatives")
+    if last is None or not np.array_equal(last[0], z):
+        last = surface.__dict__["_last_derivatives"] = (
+            np.array(z), surface.planar.d_z(z), surface.planar.d_zbar(z))
+    return last[1:]
+
+
 def classify_point(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
     """The Region of a point; an array of Regions for an array of points."""
-    side = _sides(surface.planar.d_z(z), surface.planar.d_zbar(z), tol)
-    return _REGIONS[side + 1]
+    return _REGIONS[_sides(*_planar_derivatives(surface, z), tol) + 1]
 
 
 # -- grids ------------------------------------------------------------------
@@ -161,15 +170,17 @@ _BISECT_RTOL = 4.0 * np.finfo(float).eps
 _BATCH_ENTRIES = 1 << 20
 
 
-def _bisect_brackets(f, a, b, fa, xtol: float, maxiter: int = 100) -> np.ndarray:
-    """Bisect every bracket [a[k], b[k]] (f(a) f(b) < 0) at once.
+def _bisect_brackets(f, a, b, fa, xtol: float, maxiter: int = 100, sections: int = 2) -> np.ndarray:
+    """Refine every bracket [a[k], b[k]] (f(a) f(b) < 0) at once.
 
-    ``f(x, k)`` is bracket k[j]'s function at x[j], called once per halving
-    on the open brackets; ``fa`` = f(a).  Each bracket takes the steps of
-    scipy.optimize.bisect: halve dm, try xm = a + dm, move a there when
-    f(xm) f(a) >= 0, and return xm once f(xm) = 0 or |dm| < xtol + 4 eps |xm|.
-    A NaN value, or a bracket open after ``maxiter`` halvings, raises
-    ValueError.
+    ``f(x, k)`` is bracket k[j]'s function at x[j], called once per step on
+    the open brackets; ``fa`` = f(a).  A step cuts each bracket into
+    ``sections`` parts of width dm, tries x_j = a + j dm for j < sections,
+    and moves a to the last x_j of the leading run with f(x_j) f(a) >= 0.
+    It returns the run's first zero, or else x_max(run,1) once
+    |dm| < xtol + 4 eps |x_max(run,1)|.  With two sections these are the
+    steps of scipy.optimize.bisect.  A NaN value, or a bracket open after
+    ``maxiter`` steps, raises ValueError.
     """
     xa = np.array(a, dtype=float)
     dm = np.asarray(b, dtype=float) - xa
@@ -179,17 +190,21 @@ def _bisect_brackets(f, a, b, fa, xtol: float, maxiter: int = 100) -> np.ndarray
     for _ in range(maxiter):
         if not len(live):
             break
-        dm = 0.5 * dm
-        xm = xa + dm
-        fm = np.asarray(f(xm, live), dtype=float)
-        if np.any(np.isnan(fm)):
-            raise ValueError(f"the function value at x={xm[np.isnan(fm)][0]} is NaN")
-        xa = np.where(fm * fa >= 0.0, xm, xa)
-        done = (fm == 0.0) | (np.abs(dm) < xtol + _BISECT_RTOL * np.abs(xm))
+        dm = dm / sections
+        x = xa[:, None] + np.arange(1.0, sections) * dm[:, None]
+        fx = np.asarray(f(x.ravel(), np.repeat(live, sections - 1)), dtype=float).reshape(x.shape)
+        if np.any(np.isnan(fx)):
+            raise ValueError(f"the function value at x={x[np.isnan(fx)][0]} is NaN")
+        lead = np.logical_and.accumulate(fx * fa[:, None] >= 0.0, axis=1)
+        run, zero, row = lead.sum(axis=1), lead & (fx == 0.0), np.arange(len(live))
+        xa = np.where(run > 0, x[row, run - 1], xa)
+        hit = zero.any(axis=1)
+        xm = x[row, np.where(hit, zero.argmax(axis=1), np.maximum(run, 1) - 1)]
+        done = hit | (np.abs(dm) < xtol + _BISECT_RTOL * np.abs(xm))
         roots[live[done]] = xm[done]
         xa, dm, fa, live = xa[~done], dm[~done], fa[~done], live[~done]
     if len(live):
-        raise ValueError(f"bisection did not converge after {maxiter} halvings")
+        raise ValueError(f"bisection did not converge after {maxiter} steps")
     return roots
 
 
@@ -407,7 +422,7 @@ def gauss_map(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
     """
     zz = np.asarray(z, dtype=complex)
     flat = zz.ravel()
-    hz, hzb = surface.planar.d_z(flat), surface.planar.d_zbar(flat)
+    hz, hzb = _planar_derivatives(surface, flat)
     side = _sides(hz, hzb, tol)
     if zz.ndim == 0 and side[0] == 0:
         raise SingularPointError(f"{complex(zz)} is a singular point")

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from maxsurf.annulus import CircleFunction
 from maxsurf.interpolation import (
     InterpolationError,
+    ModifiedCoefficients,
     SpacelikeCurve,
     _residual_modes,
+    _slope_kernel,
     build_surface,
     build_surface_through_point,
     family_curve,
@@ -178,7 +180,80 @@ class TestResiduals:
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
+def random_curve(rng, K):
+    """Every planar and height mode up to K populated, decaying as 0.6^|n|."""
+    planar = {n: complex(*rng.normal(size=2)) * 0.6 ** abs(n) for n in range(-K, K + 1)}
+    height = {0: rng.normal()}
+    for n in range(1, K + 1):
+        height[n] = complex(*rng.normal(size=2)) * 0.6**n
+        height[-n] = height[n].conjugate()
+    return SpacelikeCurve(CircleFunction.from_dict(planar), CircleFunction.from_dict(height))
+
+
+def modes_at_t(curve, t):
+    """`_residual_modes` with the weights taken from t = ln r0 itself."""
+    K = max(curve.planar.max_mode, curve.height.max_mode, 1)
+    n = np.arange(-K, K + 1)
+    f, g = curve.planar.coeff_array(K), curve.height.coeff_array(K)
+    gap = 2.0 * np.sinh(np.multiply.outer(t, n))
+    weight = np.divide(1.0, gap, out=np.zeros_like(gap), where=n != 0)
+    return _residual_modes(ModifiedCoefficients(np.exp(t), f[K] / t, g[K].real / t,
+                                                f * weight, g * weight, K))
+
+
+def central_difference_slope(curve, t):
+    """The search's former slope: Re<F', F> with F' a central difference of
+    step 1e-6 |t|, its three rows in one kernel call.  The rows are taken at
+    t itself: through r0 = exp(t) and back, ln rounds by about 1e-16, which
+    at |t| = 1e-6 is 1e-4 of the step.  Returns the slope and its
+    Cauchy-Schwarz scale sum |F'| |F|."""
+    step = 1e-6 * np.abs(t)
+    below, mid, above = np.split(modes_at_t(curve, np.concatenate([t - step, t, t + step])), 3)
+    diff = (above - below) / (2.0 * step)[:, None]
+    return np.sum(np.conj(diff) * mid, axis=1).real, np.sum(np.abs(diff) * np.abs(mid), axis=1)
+
+
+class TestSlopeKernel:
+    def test_matches_the_central_difference(self):
+        rng = np.random.default_rng(12)
+        t = np.geomspace(1e-6, 4.0, 30)
+        t = np.concatenate([t, -t])
+        for K in range(1, 17):
+            curve = random_curve(rng, K)
+            want, scale = central_difference_slope(curve, t)
+            got = _slope_kernel(curve)(t)
+            assert np.all(np.abs(got - want) <= 1e-7 * scale), K
+
+    def test_is_odd_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        t = np.exp(np.linspace(-13.0, 1.5, 200))
+        for K in (1, 2, 3, 5, 8, 16):
+            slope = _slope_kernel(random_curve(rng, K))
+            assert np.array_equal(slope(-t), -slope(t))
+        slope = _slope_kernel(family_curve(2.0))
+        assert np.array_equal(slope(-t), -slope(t))
+
+    def test_rejects_a_curve_with_complex_height(self):
+        curve = SpacelikeCurve(CircleFunction.from_dict({1: 1.0}),
+                               CircleFunction.from_dict({1: 0.5j}))
+        with pytest.raises(InterpolationError, match="not real"):
+            _slope_kernel(curve)
+
+
 class TestSearch:
+    @pytest.mark.parametrize("bracket", [(0.5, 20.0), (2.0, 5.0), (0.2, 0.5), (1.0 - 5e-7, 3.0)])
+    def test_a_bracket_gets_its_share_of_the_roots(self, catenoid_curve, bracket):
+        lo, hi = bracket
+        for curve in (catenoid_curve, family_curve(2.5), circle_curve(1.05, 1.0)):
+            share = [r for r in search_r0(curve, bracket=(0.05, 20.0)) if lo <= r <= hi]
+            assert search_r0(curve, bracket=bracket) == pytest.approx(share, rel=1e-13, abs=0.0)
+
+    def test_roots_are_reciprocal_pairs(self):
+        rng = np.random.default_rng(8)
+        for eps in np.exp(rng.uniform(np.log(1e-6), np.log(0.1), 12)):
+            low, high = search_r0(circle_curve(1.0 + eps, 1.0))
+            assert abs(low * high - 1.0) <= 4.0 * np.finfo(float).eps, eps
+
     def test_catenoid_curve_roots(self, catenoid_curve):
         roots = search_r0(catenoid_curve, bracket=(0.05, 20.0))
         assert len(roots) == 2

@@ -502,6 +502,58 @@ class TestCli:
         assert cli.main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
 
+    def test_one_parser_serves_a_sequence_of_calls(self, catenoid_curve_spec, tmp_path, capsys):
+        out = str(tmp_path / "ring")
+        calls = [["validate", "--spec", catenoid_curve_spec],
+                 ["gauss-map", "--out", "unused.csv"],
+                 ["interpolate", "--spec", catenoid_curve_spec, "--out", out,
+                  "--bracket", "0.05", "20"]]
+
+        def run(argv, fresh):
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.main(argv)
+            report = (tmp_path / "ring.report.json").read_bytes() if argv[0] == "interpolate" else b""
+            return code, *capsys.readouterr(), report
+
+        shared = [run(argv, fresh=False) for argv in calls]
+        assert [result[0] for result in shared] == [0, 2, 0]
+        assert shared == [run(argv, fresh=True) for argv in calls]
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_interpolate_computes_each_residual_once(self, catenoid_curve_spec, tmp_path,
+                                                     monkeypatch):
+        from maxsurf import interpolation
+
+        residual, calls = interpolation.scalar_residual, []
+        monkeypatch.setattr(interpolation, "scalar_residual",
+                            lambda curve, r0: calls.append(r0) or residual(curve, r0))
+        assert cli.main(["interpolate", "--spec", catenoid_curve_spec, "--out",
+                         str(tmp_path / "ring"), "--bracket", "0.05", "20"]) == 0
+        # One for the root pair in the search, one in each build_surface.
+        assert len(calls) == 3
+        report = json.loads((tmp_path / "ring.report.json").read_text())
+        curve = fileio.load_curve_spec(catenoid_curve_spec).as_curve()
+        assert [s["residual"] for s in report["surfaces"]] == [
+            residual(curve, r0) for r0 in report["roots"]]
+
+    def test_gauss_map_evaluates_each_derivative_once_on_the_grid(self, catenoid, tmp_path,
+                                                                  monkeypatch):
+        surface_file = str(tmp_path / "cat.surface.txt")
+        fileio.save_surface(catenoid, surface_file)
+        sizes = {"d_z": [], "d_zbar": []}
+        for name in sizes:
+            method = getattr(HarmonicOnAnnulus, name)
+            monkeypatch.setattr(HarmonicOnAnnulus, name,
+                                lambda self, z, m=method, n=name: sizes[n].append(np.size(z))
+                                or m(self, z))
+        assert cli.main(["gauss-map", "--surface", surface_file, "--out",
+                         str(tmp_path / "gauss.csv"), "--grid", "16", "8"]) == 0
+        # Past the whole grid, only the anchors and each region's w_z remain.
+        assert sizes["d_z"].count(16 * 8) == 1
+        assert sizes["d_zbar"].count(16 * 8) == 1
+        assert max(sizes["d_zbar"]) == 16 * 8
+
     def test_config_merging(self, tmp_path, monkeypatch, catenoid_curve_spec):
         env_cfg = write_json(tmp_path / "env.json", {"scan_points": 128})
         flag_cfg = write_json(tmp_path / "flag.json", {"residual_tol": 1e-6})

@@ -179,6 +179,36 @@ class TestBatchedBisection:
             ]
             assert got.tolist() == want
 
+    def test_eight_sections_match_two(self):
+        # Both end in a bracket narrower than xtol + 4 eps |x| around the same
+        # sign change, so they differ by less than two such widths (at most
+        # 8 ulp, 6 eps |x|, at xtol = 0 here).
+        rng = np.random.default_rng(505)
+        count = 300
+        a = rng.uniform(-2.0, 1.0, count)
+        b = a + rng.uniform(1e-3, 3.0, count)
+        root = a + rng.uniform(0.0, 1.0, count) * (b - a)
+        scale = rng.choice([-1.0, 1.0], count) * np.exp(rng.uniform(-5.0, 5.0, count))
+        a[0], b[0], root[0] = 0.0, 2.0, 1.0
+        for xtol in (1e-10, 2e-12, 0.0):
+            two, eight = (
+                _bisect_brackets(
+                    lambda x, k: self.cubic(x, root[k], scale[k]),
+                    a, b, self.cubic(a, root, scale), xtol, sections=sections,
+                )
+                for sections in (2, 8)
+            )
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(eight - two) <= 2.0 * (xtol + 4.0 * eps * np.abs(two)))
+
+    def test_a_zero_on_an_inner_point_is_returned(self):
+        # 0.375 = 3/8 is the third of seven points; 0.875 lies past the sign change.
+        def f(x, k):
+            return np.where(x == 0.875, 0.0, x - 0.375)
+
+        got = _bisect_brackets(f, [0.0], [1.0], [-0.375], 1e-10, sections=8)
+        assert got.tolist() == [0.375]
+
     def test_nan_value_raises(self):
         def f(x, k):
             return np.where(k == 1, np.nan, x - 0.3)
