@@ -18,6 +18,10 @@ import numpy as np
 
 DEFAULT_TRUNCATION = 64
 
+# Largest mode index, half sample count or truncation read from a file or a
+# config; it keeps the arrays built from those inputs small.
+MAX_MODE = 4096
+
 # A mode with magnitude below this is treated as absent.
 COEFF_FLOOR = 1e-13
 
@@ -56,6 +60,17 @@ def polar_grid(radii, n_theta: int) -> np.ndarray:
     return np.outer(radii, np.exp(1j * circle_angles(n_theta)))
 
 
+def _synthesize(spectra: np.ndarray, n_theta: int) -> np.ndarray:
+    """sum_n s_n e^{i n theta} at the n_theta circle angles, for each row s of
+    ``spectra`` (modes -K..K).  Modes are folded mod n_theta, which is exact at
+    the nodes, and one inverse FFT synthesises every row."""
+    spectra = np.atleast_2d(spectra)
+    k = (spectra.shape[1] - 1) // 2
+    folded = np.zeros((len(spectra), n_theta), dtype=complex)
+    np.add.at(folded.T, np.arange(-k, k + 1) % n_theta, spectra.T)
+    return n_theta * np.fft.ifft(folded, axis=1)
+
+
 @dataclass(frozen=True)
 class CircleFunction:
     """A periodic function of the angle, held as Fourier coefficients.
@@ -85,6 +100,8 @@ class CircleFunction:
         m = len(s)
         if not _is_power_of_two(m):
             raise ValueError(f"sample count {m} is not a power of two")
+        if m == 1:  # a constant; the Nyquist split below needs m >= 2
+            return cls(s, radius)
         t = np.fft.fft(s) / m
         half = m // 2
         coeffs = np.zeros(m + 1, dtype=complex)  # modes -half .. half
@@ -154,7 +171,7 @@ def fourier_analyze(samples, radius: float = 1.0) -> CircleFunction:
 
 def fourier_synthesize(cf: CircleFunction, count: int) -> np.ndarray:
     """Evaluate a coefficient-form function on ``count`` equispaced angles."""
-    return cf.sample(circle_angles(count))
+    return _synthesize(cf.coeffs, count)[0]
 
 
 def _side_decay_radius(mags: np.ndarray) -> float | None:
@@ -299,14 +316,31 @@ class HarmonicOnAnnulus:
         On |z| = rho the series is sum (a_n rho^n + b_n rho^-n) e^{i n theta}
         + c ln rho.  Modes are folded mod n_theta, which is exact at the nodes.
         """
+        return _synthesize(self._circle_spectra(radii)[0], n_theta)
+
+    def d_polar(self, radii, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(d_z, d_zbar)`` on ``polar_grid(radii, n_theta)``, as ``eval_polar``: on
+        |z| = rho, z h_z has the spectrum n a_n rho^n + c/2 [n = 0] and zbar h_zbar
+        the spectrum -n b_n rho^-n + c/2 [n = 0]; one synthesis each, over z and zbar."""
+        _, zhz, zbhzb = self._circle_spectra(radii)
+        z = polar_grid(radii, n_theta)
+        return _synthesize(zhz, n_theta) / z, _synthesize(zbhzb, n_theta) / np.conj(z)
+
+    def radial_polar(self, radii, n_theta: int) -> np.ndarray:
+        """rho d/drho = z h_z + zbar h_zbar on ``polar_grid(radii, n_theta)``:
+        one synthesis of the summed spectrum, with no division by z."""
+        return _synthesize(sum(self._circle_spectra(radii)[1:]), n_theta)
+
+    def _circle_spectra(self, radii):
+        """Spectra of h, of z h_z and of zbar h_zbar on each circle |z| = rho."""
         rho = np.atleast_1d(np.asarray(radii, dtype=float))
         self._check_domain(rho)
         powers = rho[:, None] ** self._modes
-        spectra = powers * self.holo + self.antiholo / powers
-        spectra[:, self.truncation] += self.log_coeff * np.log(np.abs(rho))
-        folded = np.zeros((len(rho), n_theta), dtype=complex)
-        np.add.at(folded.T, self._modes % n_theta, spectra.T)
-        return n_theta * np.fft.ifft(folded, axis=1)
+        holo, anti = powers * self.holo, self.antiholo / powers
+        values = holo + anti
+        values[:, self.truncation] += self.log_coeff * np.log(np.abs(rho))
+        half_log = np.where(self._modes == 0, 0.5 * self.log_coeff, 0.0)
+        return values, self._modes * holo + half_log, -self._modes * anti + half_log
 
     def d_z(self, z):
         """Wirtinger d/dz: sum n a_n z^{n-1} + c/(2z)."""

@@ -20,6 +20,7 @@ from .annulus import (
     HarmonicOnAnnulus,
     circle_angles,
     estimate_annulus,
+    fourier_synthesize,
 )
 from .surface import (
     DegenerateSurfaceError,
@@ -90,12 +91,11 @@ class ValidationReport:
 
 
 def _boundary_fields(data: BjorlingData, n_samples: int):
-    thetas = circle_angles(n_samples)
-    tangent_planar = data.curve_planar.derivative().sample(thetas)
-    tangent_height = np.real(data.curve_height.derivative().sample(thetas))
-    radial_planar = data.radial_planar.sample(thetas)
-    radial_height = np.real(data.radial_height.sample(thetas))
-    return thetas, tangent_planar, tangent_height, radial_planar, radial_height
+    """Angles, then planar and height tangent and radial field on the circle."""
+    tp, th, rp, rh = (fourier_synthesize(cf, n_samples) for cf in (
+        data.curve_planar.derivative(), data.curve_height.derivative(),
+        data.radial_planar, data.radial_height))
+    return circle_angles(n_samples), tp, th.real, rp, rh.real
 
 
 def validate(
@@ -253,10 +253,8 @@ def circle_identities_report(
     surface: MaximalSurface, data: BjorlingData, n_samples: int = 256
 ) -> CircleIdentityReport:
     thetas, tp, th, rp, rh = _boundary_fields(data, n_samples)
-    circle = np.exp(1j * thetas)
-    hz = surface.planar.d_z(circle)
-    hzb = surface.planar.d_zbar(circle)
-    wz = surface.height.d_z(circle)
+    (hz,), (hzb,) = surface.planar.d_polar([1.0], n_samples)
+    wz = surface.height.d_polar([1.0], n_samples)[0][0]
     target = rh**2 - th**2 - 2j * rh * th
     phase = np.exp(2j * thetas)
     res_h = np.max(np.abs(4.0 * hz * np.conj(hzb) * phase - target))
@@ -270,18 +268,12 @@ def boundary_reproduction_errors(
     surface: MaximalSurface, data: BjorlingData, n_samples: int = 256
 ) -> tuple[float, float]:
     """Sup errors of the surface and its radial derivative on the unit circle."""
-    thetas = circle_angles(n_samples)
-    circle = np.exp(1j * thetas)
-    curve_err = max(
-        float(np.max(np.abs(surface.planar.eval(circle) - data.curve_planar.sample(thetas)))),
-        float(np.max(np.abs(surface.height.eval(circle) - data.curve_height.sample(thetas)))),
-    )
 
-    def radial(h):
-        return circle * h.d_z(circle) + np.conj(circle) * h.d_zbar(circle)
+    def error(got, want: CircleFunction) -> float:
+        return float(np.max(np.abs(got[0] - fourier_synthesize(want, n_samples))))
 
-    radial_err = max(
-        float(np.max(np.abs(radial(surface.planar) - data.radial_planar.sample(thetas)))),
-        float(np.max(np.abs(radial(surface.height) - data.radial_height.sample(thetas)))),
-    )
+    pairs = ((surface.planar, data.curve_planar, data.radial_planar),
+             (surface.height, data.curve_height, data.radial_height))
+    curve_err = max(error(h.eval_polar([1.0], n_samples), curve) for h, curve, _ in pairs)
+    radial_err = max(error(h.radial_polar([1.0], n_samples), radial) for h, _, radial in pairs)
     return curve_err, radial_err

@@ -15,13 +15,12 @@ import sys
 import numpy as np
 
 from . import bjorling, fileio, interpolation
-from .annulus import DEFAULT_TRUNCATION, circle_angles, polar_grid
+from .annulus import DEFAULT_TRUNCATION, MAX_MODE, circle_angles, polar_grid
 from .surface import (
     DegenerateSurfaceError,
     classify_point,
-    conformality_residual,
     gauss_map,
-    grid_points,
+    grid_radii,
     singular_set,
 )
 
@@ -52,7 +51,9 @@ def _count(least: int):
 
 _TOL = (lambda value: _number(value) and value > 0.0), "a positive number"
 CONFIG_TYPES = {  # each key's test, and what the error says its value must be
-    "truncation": _count(1), "grid_theta": _count(1), "grid_rho": _count(1),
+    "truncation": (lambda value: type(value) is int and 1 <= value <= MAX_MODE,
+                   f"an integer in [1, {MAX_MODE}]"),
+    "grid_theta": _count(1), "grid_rho": _count(1),
     "scan_points": _count(2), "residual_tol": _TOL, "constraint_tol": _TOL,
     "bracket": (lambda value: type(value) is list and len(value) == 2
                 and all(map(_number, value)), "two numbers"),
@@ -122,8 +123,10 @@ def cmd_solve_bjorling(args, config) -> int:
         return EXIT_CONSTRAINT
     identities = bjorling.circle_identities_report(surface, data)
     curve_err, radial_err = bjorling.boundary_reproduction_errors(surface, data)
-    grid = grid_points(surface, config["grid_theta"], config["grid_rho"])
-    conf = float(np.max(np.abs(conformality_residual(surface, grid))))
+    radii = grid_radii(surface, config["grid_rho"])
+    hz, hzb = surface.planar.d_polar(radii, config["grid_theta"])
+    wz = surface.height.d_polar(radii, config["grid_theta"])[0]
+    conf = float(np.max(np.abs(hz * np.conj(hzb) - wz**2)))
     fileio.save_surface(surface, args.out + ".surface.txt")
     fileio.write_report(
         args.out + ".report.json",

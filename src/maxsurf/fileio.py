@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import COEFF_FLOOR, CircleFunction, HarmonicOnAnnulus, circle_angles
+from .annulus import COEFF_FLOOR, MAX_MODE, CircleFunction, HarmonicOnAnnulus, circle_angles
 from .bjorling import BjorlingData
 from .interpolation import SpacelikeCurve
 from .surface import MaximalSurface, SingularPoint
@@ -56,20 +56,22 @@ def _component_from_spec(obj, name: str) -> CircleFunction:
             raise SpecParseError(f"{name}.fourier must be a list of [n, re, im]")
         modes = {}
         for row in entries:
-            if not (isinstance(row, list) and len(row) == 3):
-                raise SpecParseError(f"{name}.fourier rows must be [n, re, im]")
+            if not (isinstance(row, list) and len(row) == 3
+                    and type(row[0]) is int and abs(row[0]) <= MAX_MODE):
+                raise SpecParseError(f"{name}.fourier rows must be [n, re, im], "
+                                     f"n an integer in [-{MAX_MODE}, {MAX_MODE}]")
             try:
-                modes[int(row[0])] = complex(float(row[1]), float(row[2]))
+                modes[row[0]] = complex(float(row[1]), float(row[2]))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SpecParseError(f"bad fourier row in {name}: {exc}") from exc
         cf = CircleFunction.from_dict(modes)
     elif "samples" in obj:
         rows = obj["samples"]
-        if not isinstance(rows, list) or not rows:
-            raise SpecParseError(f"{name}.samples must be a non-empty list")
+        if not (isinstance(rows, list) and 0 < len(rows) <= 2 * MAX_MODE):
+            raise SpecParseError(f"{name}.samples must be a list of 1 to {2 * MAX_MODE} rows")
         try:
             values = np.array([complex(float(r), float(i)) for r, i in rows])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecParseError(f"bad sample row in {name}: {exc}") from exc
         if len(values) & (len(values) - 1):
             raise SpecParseError(f"{name}: sample count must be a power of two")
@@ -114,12 +116,12 @@ def load_curve_spec(path: str) -> CurveSpec:
             raw = json.load(fh)
     except OSError as exc:
         raise SpecParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: deep nesting
         raise SpecParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SpecParseError("top level must be an object")
     kind = raw.get("kind")
-    if kind not in _CURVE_FIELDS:
+    if type(kind) is not str or kind not in _CURVE_FIELDS:
         raise SpecParseError(f"unknown or missing kind: {kind!r}")
     components = {}
     for name in _CURVE_FIELDS[kind]:
@@ -130,7 +132,7 @@ def load_curve_spec(path: str) -> CurveSpec:
     if expected is not None:
         try:
             expected = float(expected)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecParseError(f"bad expected_r0: {exc}") from exc
     return CurveSpec(
         kind=kind,
@@ -181,6 +183,8 @@ def load_surface(path: str) -> MaximalSurface:
             values = [float(x) for x in fields]
         except ValueError as exc:
             raise SpecParseError(f"{where}: {exc}") from exc
+        if key == tag and abs(n) > MAX_MODE:
+            raise SpecParseError(f"{where}: mode index {n} exceeds {MAX_MODE}")
         # save_surface writes an unbounded outer radius as inf.
         unbounded = key.endswith(".annulus") and values[1] == np.inf
         if not np.all(np.isfinite(values[:1] if unbounded else values)):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import CircleFunction, HarmonicOnAnnulus, circle_angles, estimate_annulus
+from .annulus import (CircleFunction, HarmonicOnAnnulus, circle_angles, estimate_annulus,
+                      fourier_synthesize)
 from .surface import (
     _BATCH_ENTRIES,
     MaximalSurface,
@@ -59,9 +60,8 @@ class SpacelikeCurve:
 
 def spacelike_margin(curve: SpacelikeCurve, n_samples: int = 256) -> float:
     """min over the curve of |planar tangent|^2 - (height tangent)^2."""
-    thetas = circle_angles(n_samples)
-    dp = curve.planar.derivative().sample(thetas)
-    dh = np.real(curve.height.derivative().sample(thetas))
+    dp = fourier_synthesize(curve.planar.derivative(), n_samples)
+    dh = np.real(fourier_synthesize(curve.height.derivative(), n_samples))
     return float(np.min(np.abs(dp) ** 2 - dh**2))
 
 

@@ -282,3 +282,12 @@ def series_scale(h: HarmonicOnAnnulus, radii) -> np.ndarray:
     n = np.arange(-h.truncation, h.truncation + 1)
     terms = np.abs(h.holo) * rho**n + np.abs(h.antiholo) * rho ** (-n)
     return 1.0 + terms.sum(axis=1) + abs(h.log_coeff) * np.abs(np.log(rho[:, 0]))
+
+
+def derivative_scale(h: HarmonicOnAnnulus, radii) -> np.ndarray:
+    """(1 + sum |n| (|a_n| rho^n + |b_n| rho^-n) + |c|) / rho per radius: the
+    size against which h_z and h_zbar on the circle |z| = rho are rounded."""
+    rho = np.asarray(radii, dtype=float)[:, None]
+    n = np.arange(-h.truncation, h.truncation + 1)
+    terms = np.abs(n) * (np.abs(h.holo) * rho**n + np.abs(h.antiholo) * rho ** (-n))
+    return (1.0 + terms.sum(axis=1) + abs(h.log_coeff)) / rho[:, 0]

@@ -9,13 +9,14 @@ from maxsurf.annulus import (
     CircleFunction,
     DomainError,
     HarmonicOnAnnulus,
+    circle_angles,
     estimate_annulus,
     fourier_analyze,
     fourier_synthesize,
     polar_grid,
 )
 
-from conftest import series_scale
+from conftest import derivative_scale, series_scale
 
 
 def thetas(count):
@@ -47,6 +48,22 @@ class TestCircleFunction:
         back = fourier_analyze(fourier_synthesize(cf, 32))
         for n, v in modes.items():
             assert abs(back.coeff(n) - v) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(1, 300), top=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
+    def test_synthesis_matches_sampling(self, count, top, seed):
+        # Counts below 2 top + 1 fold modes onto each other at the nodes.
+        rng = np.random.default_rng(seed)
+        cf = CircleFunction(rng.normal(size=2 * top + 1) + 1j * rng.normal(size=2 * top + 1))
+        got = fourier_synthesize(cf, count)
+        want = cf.sample(circle_angles(count))
+        assert got.shape == (count,)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.sum(np.abs(cf.coeffs))))
+
+    def test_one_sample_is_a_constant(self):
+        cf = CircleFunction.from_samples([1.5 - 2.0j])
+        assert cf.max_mode == 0
+        assert cf.coeff(0) == 1.5 - 2.0j
 
     def test_derivative_is_spectral(self):
         cf = CircleFunction.from_dict({2: 1.0 + 1.0j, -3: 0.5})
@@ -226,8 +243,39 @@ class TestEvalPolar:
         assert got.shape == (len(radii), n_theta)
         assert np.all(np.abs(got - want) <= 1e-13 * series_scale(h, radii)[:, None])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        truncation=st.integers(1, 64),
+        n_theta=st.one_of(st.integers(1, 300), st.integers(1, 16)),
+        log_coeff=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_derivatives_match_d_z_and_d_zbar(self, truncation, n_theta, log_coeff, seed):
+        rng = np.random.default_rng(seed)
+        h = self.harmonic(rng, truncation, log_coeff)
+        edge = 1e-9
+        radii = np.concatenate([
+            [0.5 * (1 + edge), 2.0 * (1 - edge), 1.0],
+            np.exp(rng.uniform(np.log(0.5), np.log(2.0), 3)),
+        ])
+        grid = polar_grid(radii, n_theta)
+        tol = 1e-13 * derivative_scale(h, radii)[:, None]
+        hz, hzb = h.d_polar(radii, n_theta)
+        assert hz.shape == hzb.shape == (len(radii), n_theta)
+        assert np.all(np.abs(hz - h.d_z(grid)) <= tol)
+        assert np.all(np.abs(hzb - h.d_zbar(grid)) <= tol)
+        radial = grid * h.d_z(grid) + np.conj(grid) * h.d_zbar(grid)
+        assert np.all(np.abs(h.radial_polar(radii, n_theta) - radial) <= tol * radii[:, None])
+
     @pytest.mark.parametrize("bad", [np.nan, 0.0, 0.4, 2.5, np.inf])
     def test_radii_outside_the_annulus_raise(self, bad):
         h = HarmonicOnAnnulus.from_modes(holo={1: 1.0}, log_coeff=0.5, annulus=(0.5, 2.0))
         with pytest.raises(DomainError):
             h.eval_polar([1.0, bad], 8)
+
+    @pytest.mark.parametrize("method", ["d_polar", "radial_polar"])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, 0.4, 2.5, np.inf])
+    def test_derivative_radii_outside_the_annulus_raise(self, bad, method):
+        h = HarmonicOnAnnulus.from_modes(holo={1: 1.0}, log_coeff=0.5, annulus=(0.5, 2.0))
+        with pytest.raises(DomainError):
+            getattr(h, method)([1.0, bad], 8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxsurf import bjorling
-from maxsurf.annulus import CircleFunction
+from maxsurf.annulus import CircleFunction, circle_angles
 from maxsurf.bjorling import (
     BjorlingData,
     BjorlingDataError,
@@ -134,6 +134,25 @@ class TestSolve:
         curve_err, radial_err = boundary_reproduction_errors(surface, data)
         assert curve_err < 1e-10
         assert radial_err < 1e-10
+
+
+    def test_a_truncated_tail_still_shows_in_the_radial_error(self):
+        # Q of degree 5 gives radial modes up to 10; truncation 8 drops two.
+        data = random_valid_data(np.random.default_rng(3), deg=5, fourier=True)
+        surface = solve(data, truncation=8)
+        curve_err, radial_err = boundary_reproduction_errors(surface, data)
+        # The pointwise series on the circle, sampled data: the matrix path.
+        thetas = circle_angles(256)
+        circle = np.exp(1j * thetas)
+        want = max(
+            np.max(np.abs(circle * h.d_z(circle) + np.conj(circle) * h.d_zbar(circle)
+                          - cf.sample(thetas)))
+            for h, cf in ((surface.planar, data.radial_planar),
+                          (surface.height, data.radial_height)))
+        assert radial_err > 1e-9
+        assert radial_err == pytest.approx(4.80, abs=5e-3)
+        assert abs(radial_err - want) <= 1e-12 * want
+        assert curve_err < 1e-12
 
 
 class TestCircleIdentities:

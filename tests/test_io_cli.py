@@ -5,14 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conftest
 import maxsurf
 from maxsurf import cli, fileio
-from maxsurf.annulus import HarmonicOnAnnulus, circle_angles, polar_grid
+from maxsurf.annulus import COEFF_FLOOR, HarmonicOnAnnulus, _centered, circle_angles, polar_grid
 from maxsurf.surface import MaximalSurface, Region, SingularPoint
 
 # Values whose text is easy to get wrong: signed zero, the smallest
@@ -23,6 +26,43 @@ AWKWARD = [-0.0, 5e-324, 1e16, 2.5, np.nan, np.inf, -np.inf, 1.0 / 3.0]
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def parse_text(loader, text: str):
+    """``loader`` on a file holding ``text``: its result, or the SpecParseError."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            return loader(path)
+        except fileio.SpecParseError as exc:
+            return exc
+
+
+# Text without lone surrogates, which no UTF-8 file can hold.
+TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=40)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([10**12, -(10**400), 4097]),
+    st.floats(), st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3), max_leaves=10)
+ROWS = st.lists(st.lists(JSON_LEAVES, max_size=4), max_size=5)
+COMPONENT = st.one_of(JSON_VALUES, st.fixed_dictionaries(
+    {}, optional={"fourier": ROWS | JSON_VALUES, "samples": ROWS | JSON_VALUES}))
+SPEC = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["curve", "bjorling"]) | JSON_VALUES},
+    optional={name: COMPONENT for name in ("planar", "height", "curve_planar", "curve_height",
+                                           "radial_planar", "radial_height")}
+    | {"label": JSON_VALUES, "expected_r0": JSON_LEAVES})
+SURFACE_LINE = st.builds(
+    lambda key, fields: " ".join([key, *fields]),
+    st.sampled_from(["planar", "height", "planar.annulus", "height.annulus", "planar.log",
+                     "height.log", "planar.x", "shape"]) | TEXT,
+    st.lists(st.sampled_from(["0", "1", "-1", "0.5", "-0", "inf", "nan", "1e400", "4097",
+                              "-4096", "1000000000000", "1.5", "x"])
+             | st.integers().map(str) | st.floats().map(repr) | TEXT, max_size=6))
 
 
 @pytest.fixture
@@ -93,8 +133,61 @@ class TestCurveSpecs:
                 )
             )
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(SPEC.map(json.dumps), TEXT))
+    @example("[" * 100000)
+    def test_any_text_parses_or_raises_a_parse_error(self, text):
+        result = parse_text(fileio.load_curve_spec, text)
+        assert isinstance(result, (fileio.CurveSpec, fileio.SpecParseError))
+
 
 class TestSurfaceFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(SURFACE_LINE, max_size=8).map(
+            lambda lines: "\n".join([fileio.COEFF_MAGIC, *lines]) + "\n"),
+        TEXT))
+    def test_any_text_loads_or_raises_a_parse_error(self, text):
+        result = parse_text(fileio.load_surface, text)
+        assert isinstance(result, (MaximalSurface, fileio.SpecParseError))
+
+    @staticmethod
+    @st.composite
+    def harmonics(draw):
+        top = draw(st.integers(0, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        # Magnitudes around COEFF_FLOOR, where save_surface starts dropping modes.
+        value = finite | st.floats(-1e-12, 1e-12)
+        parts = [np.array(draw(st.lists(value, min_size=2 * top + 1, max_size=2 * top + 1)))
+                 for _ in range(4)]
+        holo, anti = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+        anti[top] = 0.0
+        inner = draw(st.floats(0.0, 1.0, exclude_max=True))
+        outer = draw(st.floats(1.0, exclude_min=True) | st.just(np.inf))
+        return HarmonicOnAnnulus(holo, anti, complex(draw(finite), draw(finite)), inner, outer)
+
+    @settings(max_examples=100, deadline=None)
+    @given(harmonics(), harmonics())
+    def test_save_then_load_is_exact(self, planar, height):
+        surface = MaximalSurface(planar, height)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "s.surface.txt")
+            fileio.save_surface(surface, path)
+            with open(path, "rb") as fh:
+                first = fh.read()
+            loaded = fileio.load_surface(path)
+            fileio.save_surface(loaded, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == first
+        for got, want in ((loaded.planar, planar), (loaded.height, height)):
+            assert (got.inner_radius, got.outer_radius, got.log_coeff) == \
+                (want.inner_radius, want.outer_radius, want.log_coeff)
+            # Modes whose two coefficients are both within COEFF_FLOOR are not saved.
+            kept = (np.abs(want.holo) > COEFF_FLOOR) | (np.abs(want.antiholo) > COEFF_FLOOR)
+            top = max(got.truncation, want.truncation)
+            for a, b in ((got.holo, want.holo), (got.antiholo, want.antiholo)):
+                assert np.array_equal(_centered(a, top), _centered(np.where(kept, b, 0), top))
+
     def test_round_trip_is_exact(self, tmp_path, catenoid):
         first = tmp_path / "s1.txt"
         second = tmp_path / "s2.txt"
@@ -313,6 +406,16 @@ class TestCli:
             pytest.param("spec", {"planar": {"fourier": [[1, float("nan"), 0.0]]}},
                          id="nan-value"),
             pytest.param("spec", {"expected_r0": "x"}, id="non-numeric-expected-r0"),
+            pytest.param("surface", "planar 1000000000000 0.5 0 -0.5 0", id="huge-surface-mode"),
+            pytest.param("spec", {"planar": {"fourier": [[1.5, 1.0, 0.0]]}},
+                         id="fractional-mode"),
+            pytest.param("spec", {"planar": {"fourier": [[True, 1.0, 0.0]]}}, id="bool-mode"),
+            pytest.param("spec", {"planar": {"fourier": [[10**12, 1.0, 0.0]]}}, id="huge-spec-mode"),
+            pytest.param("spec", {"planar": {"samples": [[1.0, 0.0]] * 16384}},
+                         id="too-many-samples"),
+            pytest.param("spec", {"planar": {"samples": [[10**400, 0.0]]}},
+                         id="sample-beyond-float"),
+            pytest.param("spec", {"expected_r0": 10**400}, id="expected-r0-beyond-float"),
         ],
     )
     def test_malformed_inputs_exit_3(self, tmp_path, capsys, kind, defect):
@@ -339,7 +442,30 @@ class TestCli:
             }
             argv = ["validate", "--spec", write_json(tmp_path / "c.json", spec)]
         assert cli.main(argv) == 3
-        assert capsys.readouterr().err.startswith("parse error:")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:")
+        # The message names the file, component or key at fault.
+        assert any(name in err for name in ("bad.surface.txt", "planar", "expected_r0"))
+
+    def test_one_sample_component_is_a_constant(self, tmp_path, capsys):
+        spec = write_json(
+            tmp_path / "one.json",
+            {
+                "kind": "bjorling",
+                "curve_planar": {"samples": [[1.0, 0.0]]},
+                "curve_height": {"samples": [[0.5, 0.0]]},
+                "radial_planar": {"fourier": [[1, 1.0, 0.0]]},
+                "radial_height": {"fourier": [[0, 1.0, 0.0]]},
+            },
+        )
+        data = fileio.load_curve_spec(spec).as_bjorling()
+        assert data.curve_planar.coeff(0) == 1.0 and data.curve_planar.max_mode == 0
+        assert cli.main(["validate", "--spec", spec]) == 0
+        out = str(tmp_path / "one")
+        assert cli.main(["solve-bjorling", "--spec", spec, "--out", out]) == 0
+        surface = fileio.load_surface(out + ".surface.txt")
+        assert surface.planar.eval(1.0) == pytest.approx(1.0, abs=1e-15)
+        assert surface.height.eval(1.0).real == pytest.approx(0.5, abs=1e-15)
 
     def test_solve_bjorling(self, catenoid_bjorling_spec, tmp_path):
         out = str(tmp_path / "cat")
@@ -577,9 +703,11 @@ class TestCli:
             ({"residual_tol": None}, "residual_tol"),
             ({"constraint_tol": -1e-10}, "constraint_tol"),
             ({"scan_point": 64}, "scan_point"),
+            ({"truncation": 10**12}, "truncation"),
         ],
         ids=["bracket-number", "bracket-nan", "count-fraction", "count-string",
-             "count-too-small", "count-bool", "tol-null", "tol-negative", "unknown-key"],
+             "count-too-small", "count-bool", "tol-null", "tol-negative", "unknown-key",
+             "truncation-too-large"],
     )
     def test_bad_config_values_exit_3(self, tmp_path, catenoid_curve_spec, capsys,
                                       override, key):
