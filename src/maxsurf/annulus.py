@@ -18,8 +18,9 @@ import numpy as np
 
 DEFAULT_TRUNCATION = 64
 
-# Largest mode index, half sample count or truncation read from a file or a
-# config; it keeps the arrays built from those inputs small.
+# Largest mode index, half sample count, truncation, or grid, angle or scan
+# count read from a file, a config or a flag; it keeps the arrays built from
+# those inputs small.
 MAX_MODE = 4096
 
 # A mode with magnitude below this is treated as absent.

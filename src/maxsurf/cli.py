@@ -21,6 +21,7 @@ from .surface import (
     classify_point,
     gauss_map,
     grid_radii,
+    point_blocks,
     singular_set,
 )
 
@@ -28,6 +29,10 @@ EXIT_OK = 0
 EXIT_CONSTRAINT = 2
 EXIT_PARSE = 3
 EXIT_NO_ROOT = 4
+
+# Most points in a grid from a config (grid_theta x grid_rho) or a --grid
+# flag; each count on its own is at most annulus.MAX_MODE.
+MAX_GRID_POINTS = 1 << 18
 
 DEFAULT_CONFIG = {
     "truncation": DEFAULT_TRUNCATION,
@@ -46,7 +51,8 @@ def _number(value) -> bool:
 
 
 def _count(least: int):
-    return (lambda value: type(value) is int and value >= least), f"an integer >= {least}"
+    return (lambda value: type(value) is int and least <= value <= MAX_MODE,
+            f"an integer in [{least}, {MAX_MODE}]")
 
 
 _TOL = (lambda value: _number(value) and value > 0.0), "a positive number"
@@ -68,7 +74,7 @@ def _load_config(path_from_flag: str | None) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise fileio.SpecParseError(f"bad config {path}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise fileio.SpecParseError(f"config {path} must be a JSON object")
@@ -78,6 +84,10 @@ def _load_config(path_from_flag: str | None) -> dict:
                 problem = f"must be {kind}" if valid else "is not a config key"
                 raise fileio.SpecParseError(f"config {path}: {key!r} {problem}, got {value!r}")
         config.update(overrides)
+        if config["grid_theta"] * config["grid_rho"] > MAX_GRID_POINTS:
+            raise fileio.SpecParseError(
+                f"config {path}: 'grid_theta' x 'grid_rho' must be at most "
+                f"{MAX_GRID_POINTS} points, got {config['grid_theta']} x {config['grid_rho']}")
     return config
 
 
@@ -216,9 +226,13 @@ def cmd_singular_set(args, config) -> int:
 def cmd_gauss_map(args, config) -> int:
     surface = fileio.load_surface(args.surface)
     thetas, radii = fileio.export_grid(surface, *args.grid, args.rho_range)
-    grid = polar_grid(radii, len(thetas)).ravel()
-    regions = [region.value for region in classify_point(surface, grid)]
-    nus = gauss_map(surface, grid)  # NaN at the singular points; reuses the derivatives
+    regions, nus = [], []
+    # Blocks bound the points x modes matrices; each gauss_map call reuses
+    # its block's derivatives, and gives NaN at the singular points.
+    for block in point_blocks(surface, polar_grid(radii, len(thetas)).ravel()):
+        regions += [region.value for region in classify_point(surface, block)]
+        nus.append(gauss_map(surface, block))
+    nus = np.concatenate(nus)
     fileio.write_text(args.out, "theta,rho,region,nu_re,nu_im\n" + fileio.format_rows(
         "%s,%s,%s,%.17g,%.17g\n", *fileio.grid_labels(thetas, radii), regions,
         nus.real, nus.imag))
@@ -231,9 +245,20 @@ def cmd_gauss_map(args, config) -> int:
 def _positive_int(text: str) -> int:
     """A grid or angle count; argparse reports a non-integer itself."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if not 1 <= value <= MAX_MODE:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer at most {MAX_MODE}, got {value}")
     return value
+
+
+class _Grid(argparse.Action):
+    """NTHETA NRHO: two counts with at most MAX_GRID_POINTS points together."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] * values[1] > MAX_GRID_POINTS:
+            raise argparse.ArgumentError(
+                self, f"must have at most {MAX_GRID_POINTS} points, got {values[0]} x {values[1]}")
+        setattr(namespace, self.dest, values)
 
 
 @functools.cache  # one parser per process: add_argument builds help formatters
@@ -267,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="export a mesh or point cloud")
     p.add_argument("--surface", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=_positive_int, nargs=2, default=[64, 32],
+    p.add_argument("--grid", type=_positive_int, nargs=2, action=_Grid, default=[64, 32],
                    metavar=("NTHETA", "NRHO"))
     p.add_argument("--rho-range", type=float, nargs=2, default=[0.4, 2.5],
                    metavar=("LO", "HI"))
@@ -287,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gauss-map", help="sample the Gauss map on a grid")
     p.add_argument("--surface", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=_positive_int, nargs=2, default=[16, 8],
+    p.add_argument("--grid", type=_positive_int, nargs=2, action=_Grid, default=[16, 8],
                    metavar=("NTHETA", "NRHO"))
     p.add_argument("--rho-range", type=float, nargs=2, default=[0.5, 2.0],
                    metavar=("LO", "HI"))

@@ -118,6 +118,8 @@ def load_curve_spec(path: str) -> CurveSpec:
         raise SpecParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: deep nesting
         raise SpecParseError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(f"{path} is not UTF-8 text: {exc}") from exc
     if not isinstance(raw, dict):
         raise SpecParseError("top level must be an object")
     kind = raw.get("kind")
@@ -161,8 +163,11 @@ def save_surface(surface: MaximalSurface, path: str):
 
 
 def load_surface(path: str) -> MaximalSurface:
-    with open(path, encoding="utf-8") as fh:
-        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(f"{path} is not UTF-8 text: {exc}") from exc
     if not lines or lines[0][1] != COEFF_MAGIC:
         raise SpecParseError(f"{path}: not a surface coefficient file")
     parts: dict[str, dict] = {

@@ -24,6 +24,8 @@ from .annulus import COEFF_FLOOR, DomainError, HarmonicOnAnnulus, circle_angles,
 SINGULAR_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
 BRANCH_FLOOR = 1e-14
+# Most samples on w_from_h's ring.
+RING_LIMIT = 1 << 16
 # Largest |w_z^2 - h_z conj(h_zbar)| / (|h_z| |h_zbar|) at which the normal
 # and the Gauss map take their sign from w_z.
 CONFORMAL_TOL = 1e-6
@@ -167,6 +169,9 @@ _BISECT_RTOL = 4.0 * np.finfo(float).eps
 # Points x modes per batched derivative call; bounds the mode matrices.
 _BATCH_ENTRIES = 1 << 20
 
+# A scan value at most this many eps of |h_z|^2 + |h_zbar|^2 is a zero.
+_SCAN_ZERO_ULPS = 8.0
+
 
 def _bisect_brackets(f, a, b, fa, xtol: float, maxiter: int = 100, sections: int = 2) -> np.ndarray:
     """Refine every bracket [a[k], b[k]] (f(a) f(b) < 0) at once.
@@ -206,19 +211,38 @@ def _bisect_brackets(f, a, b, fa, xtol: float, maxiter: int = 100, sections: int
     return roots
 
 
+def point_blocks(surface: MaximalSurface, z: np.ndarray) -> list[np.ndarray]:
+    """The points z in consecutive blocks, each small enough that its
+    points x modes derivative matrices keep to _BATCH_ENTRIES entries."""
+    modes = 2 * max(surface.planar.truncation, surface.height.truncation) + 1
+    step = max(1, _BATCH_ENTRIES // modes)
+    return [z[i : i + step] for i in range(0, len(z), step)]
+
+
 def _residual_at(surface: MaximalSurface, z: np.ndarray) -> np.ndarray:
     """singularity_residual at many points, each point as its own row.
 
     A column of points makes each series value a row-by-coefficients
-    product, rounded as in a one-point call and not as in the scan's matrix
-    product; the confirm step relies on that.  Calls are of bounded size.
+    product, rounded as in a one-point call and not as in the scan's
+    synthesis; the confirm step relies on that.  Calls are of bounded size.
     """
-    step = max(1, _BATCH_ENTRIES // (2 * surface.planar.truncation + 1))
-    parts = [
-        singularity_residual(surface, z[i : i + step, None]).ravel()
-        for i in range(0, len(z), step)
-    ]
+    parts = [singularity_residual(surface, block[:, None]).ravel()
+             for block in point_blocks(surface, z)]
     return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _scan(surface: MaximalSurface, n_theta: int, rhos: np.ndarray) -> np.ndarray:
+    """singularity_residual on the rays at ``circle_angles(n_theta)`` (rows) and
+    the radii ``rhos`` (columns), by one inverse FFT per circle.
+
+    A value within rounding of zero, |f| <= 8 eps (|h_z|^2 + |h_zbar|^2), is
+    set to 0: on a ray that lies in the singular set up to rounding, the scan
+    then sees no sign change, and the run detector reports the ray once.
+    """
+    hz, hzb = surface.planar.d_polar(rhos, n_theta)
+    holo, anti = np.abs(hz) ** 2, np.abs(hzb) ** 2
+    f = holo - anti
+    return np.where(np.abs(f) <= _SCAN_ZERO_ULPS * np.finfo(float).eps * (holo + anti), 0.0, f).T
 
 
 def singular_set(
@@ -231,11 +255,13 @@ def singular_set(
 ) -> list[SingularPoint]:
     """Roots of rho -> |planar_z|^2 - |planar_zbar|^2 along each ray.
 
-    Each ray is scanned at ``subdivisions + 1`` radii.  The ends of every
+    ``thetas`` must be ``circle_angles(n)``: the rays at ``subdivisions + 1``
+    radii form a polar grid, scanned by `_scan`.  The ends of every
     sign-change cell of every ray are re-evaluated together; the cells that
     still straddle zero are refined by one batched bisection, which takes
     scipy.optimize.bisect's steps on each bracket and evaluates all open
-    midpoints in one call per halving.
+    midpoints in one call per halving.  A node that the scan reads as 0
+    between opposite signs is itself a root.
 
     Zeros the scan cannot bracket (the residual touches zero without
     crossing, or vanishes on a whole sub-interval) are reported once per
@@ -245,11 +271,11 @@ def singular_set(
     if not (surface.inner_radius < lo < hi < surface.outer_radius):
         raise DomainError("rho bracket must lie inside the annulus")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not (len(thetas) and np.array_equal(thetas, circle_angles(len(thetas)))):
+        raise ValueError("the rays must be at circle_angles(n) for some n >= 1")
     spins = np.exp(1j * thetas)
     rhos = np.linspace(lo, hi, subdivisions + 1)
-    scan = np.array(
-        [singularity_residual(surface, rhos * spin) for spin in spins], dtype=float
-    ).reshape(len(thetas), subdivisions + 1)
+    scan = _scan(surface, len(thetas), rhos)
 
     # Near-tangential zeros can flip sign between the scan and a second
     # evaluation; only a confirmed straddle is worth bisecting, the run
@@ -263,6 +289,12 @@ def singular_set(
         lambda x, k: _residual_at(surface, x * spins[ray[k]]),
         rhos[cell], rhos[cell + 1], fa, xtol,
     )
+    # A crossing that lands on a node leaves a zero between opposite signs:
+    # the node is the root.
+    node_ray, node = np.nonzero((scan[:, 1:-1] == 0.0) & (scan[:, :-2] * scan[:, 2:] < 0.0))
+    ray, roots = np.concatenate([ray, node_ray]), np.concatenate([roots, rhos[node + 1]])
+    order = np.lexsort((roots, ray))
+    ray, roots = ray[order], roots[order]
 
     # Tangential zeros: maximal runs of |f| below tolerance that contain no
     # bracketed root get one flagged representative at the run center.
@@ -463,49 +495,60 @@ def w_from_h(planar: HarmonicOnAnnulus, z0: complex, w0: float, targets, via=Non
     (d_n / n) (z/rho)^n + 2 d_0 ln|z| + const.  One trapezoidal FFT of
     z sqrt(q), tracked around the circle of `grid_radii` where min |q| is
     largest, gives every d_n; modes below COEFF_FLOOR times the largest are
-    dropped.  w_z(z0) is the principal root of q(z0), and w(z0) = w0.  The
-    result depends on no path: ``via`` is only checked, like the targets,
-    to lie in the domain.
+    dropped.  The ring has 16N points or more, doubled until each step of
+    arg q is below pi/4 (at most RING_LIMIT points).  w_z(z0) is the
+    principal root of q(z0), and w(z0) = w0.  The result depends on no path:
+    ``via`` is only checked, like the targets, to lie in the domain.
 
     Raises BranchPointError where q(z0) = 0, where sqrt(q) vanishes or
-    changes sign around the circle, and where Im d_0 != 0 (w has a period).
+    changes sign around the circle, where RING_LIMIT points do not resolve
+    arg q, and where Im d_0 != 0 (w has a period).
     """
     z0 = complex(z0)
     targets = np.atleast_1d(np.asarray(targets, dtype=complex))
     planar._check_domain(np.append(targets, [] if via is None else via))
 
-    def q(p):
-        return planar.d_z(p) * np.conj(planar.d_zbar(p))
-
-    q0 = complex(q(np.array([z0]))[0])
+    q0 = complex(planar.d_z(z0) * np.conj(planar.d_zbar(z0)))
     if abs(q0) < BRANCH_FLOOR:
         raise BranchPointError("integrand vanishes at the base point")
     radii = grid_radii(planar)
-    rho = radii[np.argmax(np.abs(q(polar_grid(radii, 64))).min(axis=1))]
-    # q winds at most 2N + 2 times around a circle; 16N samples or more keep
-    # each step of its root well inside the quarter turn _track_signs allows.
-    ring = rho * np.exp(1j * circle_angles(1 << (16 * planar.truncation).bit_length()))
-    values = q(ring)
+    hz, hzb = planar.d_polar(radii, 64)
+    rho = radii[np.argmax(np.abs(hz * np.conj(hzb)).min(axis=1))]
+    # q winds at most 2N + 2 times around a circle.  From 16N samples, the
+    # ring doubles until arg q moves by less than an eighth turn per step,
+    # well inside the quarter turn of its root that _track_signs allows.
+    size = min(1 << (16 * planar.truncation).bit_length(), RING_LIMIT)
+    while True:
+        hz, hzb = planar.d_polar([rho], size)
+        values = hz[0] * np.conj(hzb[0])
+        if np.abs(np.angle(np.roll(values, -1) * np.conj(values))).max() < np.pi / 4:
+            break
+        if size == RING_LIMIT:
+            raise BranchPointError(
+                f"arg(h_z conj(h_zbar)) is not resolved by {size} samples on |z| = {rho:.6g}")
+        size *= 2
+    ring = polar_grid([rho], size)[0]
     start = int(np.argmax(np.abs(values)))
     roots = _track_signs(np.roll(values, -start), np.sqrt(values[start]))
     if (roots[-1] * np.conj(roots[0])).real < 0.0:
         raise BranchPointError("sqrt(h_z conj(h_zbar)) changes sign around a circle")
     d = np.fft.fft(ring * np.roll(roots, start)) / len(ring)
     floor = COEFF_FLOOR * np.abs(d).max()
-    if abs(d[0].imag) > floor:
-        raise BranchPointError(f"the height changes by {-4 * np.pi * d[0].imag:.3g} around 0")
     keep = np.abs(d) >= floor
-    d0 = d[0].real * keep[0]
+    d0 = d[0] * keep[0]
     keep[0] = False
     # Only the kept modes are raised to powers: (z/rho)^n overflows at the
     # ring's largest |n|.
     n, d = np.fft.fftfreq(len(ring), 1.0 / len(ring))[keep], d[keep]
+    wz0 = (np.power(z0 / rho, n) @ d + d0) / z0
+    sign = -1.0 if (wz0 * np.conj(np.sqrt(q0))).real < 0.0 else 1.0
+    if abs(d0.imag) > floor:  # the period of the branch with w_z(z0) = sqrt(q(z0))
+        raise BranchPointError(f"the height changes by {-4 * np.pi * sign * d0.imag:.3g} around 0")
+    d0 = d0.real
 
     def w(z):  # up to the sign and the constant
         return 2.0 * ((np.power(z[:, None] / rho, n) @ (d / n)).real + d0 * np.log(np.abs(z)))
 
-    wz0 = (np.power(z0 / rho, n) @ d + d0) / z0
-    sign = -1.0 if (wz0 * np.conj(np.sqrt(q0))).real < 0.0 else 1.0
     return (w0 + sign * (w(targets) - w(np.array([z0]))[0])).tolist()
 
 

@@ -391,34 +391,45 @@ class TestCli:
         assert cli.main(["validate", "--spec", str(bad)]) == 3
 
     @pytest.mark.parametrize(
-        "kind, defect",
+        "kind, defect, name",
         [
-            pytest.param("surface", "shape 1 0.5 0 -0.5 0", id="unknown-tag"),
-            pytest.param("surface", "planar 2 0.5", id="short-line"),
-            pytest.param("surface", "planar 2 0.5 zero 0 0", id="non-numeric-field"),
-            pytest.param("surface", "planar 2 nan 0 0 0", id="nan-coefficient"),
-            pytest.param("surface", "planar 0 0 0 1 0", id="nonzero-b0"),
-            pytest.param("surface", "planar.annulus 2 3", id="annulus-misses-unit-circle"),
-            pytest.param("spec", {"planar": {"fourier": [["one", 1.0, 0.0]]}},
+            pytest.param("surface", "shape 1 0.5 0 -0.5 0", "bad.surface.txt",
+                         id="unknown-tag"),
+            pytest.param("surface", "planar 2 0.5", "bad.surface.txt", id="short-line"),
+            pytest.param("surface", "planar 2 0.5 zero 0 0", "bad.surface.txt",
+                         id="non-numeric-field"),
+            pytest.param("surface", "planar 2 nan 0 0 0", "bad.surface.txt",
+                         id="nan-coefficient"),
+            pytest.param("surface", "planar 0 0 0 1 0", "bad.surface.txt", id="nonzero-b0"),
+            pytest.param("surface", "planar.annulus 2 3", "bad.surface.txt",
+                         id="annulus-misses-unit-circle"),
+            pytest.param("spec", {"planar": {"fourier": [["one", 1.0, 0.0]]}}, "planar",
                          id="non-numeric-mode"),
-            pytest.param("spec", {"planar": {"fourier": [[1, "x", 0.0]]}},
+            pytest.param("spec", {"planar": {"fourier": [[1, "x", 0.0]]}}, "planar",
                          id="non-numeric-value"),
-            pytest.param("spec", {"planar": {"fourier": [[1, float("nan"), 0.0]]}},
+            pytest.param("spec", {"planar": {"fourier": [[1, float("nan"), 0.0]]}}, "planar",
                          id="nan-value"),
-            pytest.param("spec", {"expected_r0": "x"}, id="non-numeric-expected-r0"),
-            pytest.param("surface", "planar 1000000000000 0.5 0 -0.5 0", id="huge-surface-mode"),
-            pytest.param("spec", {"planar": {"fourier": [[1.5, 1.0, 0.0]]}},
+            pytest.param("spec", {"expected_r0": "x"}, "expected_r0",
+                         id="non-numeric-expected-r0"),
+            pytest.param("surface", "planar 1000000000000 0.5 0 -0.5 0", "bad.surface.txt",
+                         id="huge-surface-mode"),
+            pytest.param("spec", {"planar": {"fourier": [[1.5, 1.0, 0.0]]}}, "planar",
                          id="fractional-mode"),
-            pytest.param("spec", {"planar": {"fourier": [[True, 1.0, 0.0]]}}, id="bool-mode"),
-            pytest.param("spec", {"planar": {"fourier": [[10**12, 1.0, 0.0]]}}, id="huge-spec-mode"),
-            pytest.param("spec", {"planar": {"samples": [[1.0, 0.0]] * 16384}},
+            pytest.param("spec", {"planar": {"fourier": [[True, 1.0, 0.0]]}}, "planar",
+                         id="bool-mode"),
+            pytest.param("spec", {"planar": {"fourier": [[10**12, 1.0, 0.0]]}}, "planar",
+                         id="huge-spec-mode"),
+            pytest.param("spec", {"planar": {"samples": [[1.0, 0.0]] * 16384}}, "planar",
                          id="too-many-samples"),
-            pytest.param("spec", {"planar": {"samples": [[10**400, 0.0]]}},
+            pytest.param("spec", {"planar": {"samples": [[10**400, 0.0]]}}, "planar",
                          id="sample-beyond-float"),
-            pytest.param("spec", {"expected_r0": 10**400}, id="expected-r0-beyond-float"),
+            pytest.param("spec", {"expected_r0": 10**400}, "expected_r0",
+                         id="expected-r0-beyond-float"),
+            pytest.param("surface", b"\xff\xfe", "bad.surface.txt", id="surface-not-utf8"),
+            pytest.param("spec", b"\xff\xfe", "c.json", id="spec-not-utf8"),
         ],
     )
-    def test_malformed_inputs_exit_3(self, tmp_path, capsys, kind, defect):
+    def test_malformed_inputs_exit_3(self, tmp_path, capsys, kind, defect, name):
         if kind == "surface":
             text = (
                 "maxsurf-coefficients 1\n"
@@ -430,9 +441,16 @@ class TestCli:
             good.write_text(text)
             fileio.load_surface(str(good))
             path = tmp_path / "bad.surface.txt"
-            path.write_text(text + defect + "\n")
+            if isinstance(defect, bytes):  # a file that is not UTF-8
+                path.write_bytes(defect + text.encode())
+            else:
+                path.write_text(text + defect + "\n")
             argv = ["singular-set", "--surface", str(path),
                     "--out", str(tmp_path / "s.csv")]
+        elif isinstance(defect, bytes):
+            path = tmp_path / "c.json"
+            path.write_bytes(defect + b'{"kind": "curve"}')
+            argv = ["validate", "--spec", str(path)]
         else:
             spec = {
                 "kind": "curve",
@@ -445,7 +463,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("parse error:")
         # The message names the file, component or key at fault.
-        assert any(name in err for name in ("bad.surface.txt", "planar", "expected_r0"))
+        assert name in err
 
     def test_one_sample_component_is_a_constant(self, tmp_path, capsys):
         spec = write_json(
@@ -622,6 +640,31 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["singular-set", "--angles", "1000000000000"],
+             "--angles: must be a positive integer at most 4096"),
+            (["sample", "--grid", "64", "4097"], "--grid: must be a positive integer at most 4096"),
+            (["gauss-map", "--grid", "4097", "8"], "--grid: must be a positive integer at most 4096"),
+            (["gauss-map", "--grid", "4096", "4096"], "--grid: must have at most 262144 points"),
+            (["sample", "--grid", "1024", "257"], "--grid: must have at most 262144 points"),
+        ],
+        ids=["singular-angles-huge", "sample-rho-too-large", "gauss-theta-too-large",
+             "gauss-grid-too-large", "sample-grid-too-large"],
+    )
+    def test_counts_over_the_bound_are_usage_errors(self, tmp_path, capsys, monkeypatch,
+                                                    argv, message):
+        # argparse rejects the count before any file is read or array built.
+        def refuse(path):
+            raise AssertionError(f"read {path} with a count over the bound")
+
+        monkeypatch.setattr(fileio, "load_surface", refuse)
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, "--surface", "unused.surface.txt", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_errors_and_help_return_their_codes(self, capsys):
         assert cli.main(["gauss-map", "--out", "unused.csv"]) == 2
         assert "--surface" in capsys.readouterr().err
@@ -680,6 +723,23 @@ class TestCli:
         assert sizes["d_zbar"].count(16 * 8) == 1
         assert max(sizes["d_zbar"]) == 16 * 8
 
+    def test_gauss_map_blocks_bound_each_call(self, catenoid, tmp_path, monkeypatch):
+        surface_file = str(tmp_path / "cat.surface.txt")
+        fileio.save_surface(catenoid, surface_file)
+        argv = ["gauss-map", "--surface", surface_file, "--grid", "16", "8", "--out"]
+        assert cli.main([*argv, str(tmp_path / "one.csv")]) == 0
+        modes = 2 * max(catenoid.planar.truncation, catenoid.height.truncation) + 1
+        monkeypatch.setattr(maxsurf.surface, "_BATCH_ENTRIES", 5 * modes)
+        sizes = []
+        d_z = HarmonicOnAnnulus.d_z
+        monkeypatch.setattr(HarmonicOnAnnulus, "d_z",
+                            lambda self, z: sizes.append(np.size(z)) or d_z(self, z))
+        assert cli.main([*argv, str(tmp_path / "blocks.csv")]) == 0
+        # 26 blocks of at most 5 points (past the anchors' 33-point ray) give
+        # the one-block table.
+        assert sizes.count(5) >= 25 and max(sizes) == 33
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
     def test_config_merging(self, tmp_path, monkeypatch, catenoid_curve_spec):
         env_cfg = write_json(tmp_path / "env.json", {"scan_points": 128})
         flag_cfg = write_json(tmp_path / "flag.json", {"residual_tol": 1e-6})
@@ -689,6 +749,9 @@ class TestCli:
         assert config["residual_tol"] == 1e-6
         assert config["truncation"] == cli.DEFAULT_CONFIG["truncation"]
         monkeypatch.setenv("MAXSURF_CONFIG", str(tmp_path / "missing.json"))
+        assert cli.main(["validate", "--spec", catenoid_curve_spec]) == 3
+        (tmp_path / "latin1.json").write_bytes(b'\xff\xfe{"scan_points": 128}')
+        monkeypatch.setenv("MAXSURF_CONFIG", str(tmp_path / "latin1.json"))
         assert cli.main(["validate", "--spec", catenoid_curve_spec]) == 3
 
     @pytest.mark.parametrize(
@@ -704,10 +767,15 @@ class TestCli:
             ({"constraint_tol": -1e-10}, "constraint_tol"),
             ({"scan_point": 64}, "scan_point"),
             ({"truncation": 10**12}, "truncation"),
+            ({"grid_theta": 10**12}, "grid_theta"),
+            ({"grid_rho": 4097}, "grid_rho"),
+            ({"scan_points": 4097}, "scan_points"),
+            ({"grid_theta": 4096, "grid_rho": 4096}, "grid_rho"),
         ],
         ids=["bracket-number", "bracket-nan", "count-fraction", "count-string",
              "count-too-small", "count-bool", "tol-null", "tol-negative", "unknown-key",
-             "truncation-too-large"],
+             "truncation-too-large", "grid-theta-huge", "grid-rho-too-large",
+             "scan-points-too-large", "grid-too-large"],
     )
     def test_bad_config_values_exit_3(self, tmp_path, catenoid_curve_spec, capsys,
                                       override, key):

@@ -112,16 +112,75 @@ class TestSingularSet:
         assert hit_angles == {round(np.pi / 2, 12), round(3 * np.pi / 2, 12)}
         assert all(p.residual < 1e-9 for p in pts)
 
+    @pytest.mark.parametrize("n", [4, 16, 64, 128, 1024, 4096])
+    def test_axis_rays_in_the_singular_set_give_one_tangential_point(self, exp_planar, n):
+        # Along theta = pi/2 and 3 pi/2 the residual is rounding noise (about
+        # 4e-16 against |h_z|^2 + |h_zbar|^2 = 2); each ray gives the centre
+        # of its one below-tolerance run, and both rays the same radius.
+        surf = MaximalSurface(exp_planar, HarmonicOnAnnulus.from_modes())
+        pts = singular_set(surf, circle_angles(n), (0.4, 2.5))
+        assert [(p.theta, p.tangential) for p in pts] == [(np.pi / 2, True), (3 * np.pi / 2, True)]
+        assert pts[0].rho == pts[1].rho == 1.45
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_crossing_on_a_scan_node_is_a_root(self, seed):
+        # The bracket (0.5, 1.5) puts scan node 128 at rho = 1, on the singular
+        # circle of a closed singular Bjorling solution.  The scan reads 0
+        # there, between opposite signs, and the node itself is the root.
+        surface = solve(random_valid_data(np.random.default_rng(seed)))
+        pts = singular_set(surface, circle_angles(16), (0.5, 1.5))
+        on_circle = [p for p in pts if abs(p.rho - 1.0) < 1e-8]
+        assert [(p.theta, p.rho, p.tangential) for p in on_circle] == [
+            (theta, 1.0, False) for theta in circle_angles(16)]
+        assert max(p.residual for p in on_circle) < 1e-12
+
+    @pytest.mark.parametrize(
+        "thetas",
+        [[0.5], circle_angles(16)[::-1], np.linspace(0.0, 2.0 * np.pi, 16), circle_angles(8)[1:],
+         []],
+        ids=["off-node", "reversed", "closed-linspace", "missing-ray", "empty"],
+    )
+    def test_rays_off_the_circle_angles_raise(self, catenoid, thetas):
+        with pytest.raises(ValueError, match="circle_angles"):
+            singular_set(catenoid, thetas, (0.4, 2.5))
+
+    @staticmethod
+    def matrix_scan(surface, n_theta, rhos):
+        """The scan that `surface._scan` replaced: one matrix product per ray."""
+        return np.array([singularity_residual(surface, rhos * np.exp(1j * theta))
+                         for theta in circle_angles(n_theta)])
+
+    def test_fft_scan_matches_the_matrix_scan_bit_for_bit(self, monkeypatch):
+        surfaces = [build_surface(family_curve(c), c) for c in (0.5, 3.0)]
+        for seed in range(3):
+            for fourier in (False, True):
+                surfaces.append(solve(random_valid_data(np.random.default_rng(seed), fourier=fourier)))
+        want = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(maxsurf.surface, "_scan", self.matrix_scan)
+            for k, surface in enumerate(surfaces):
+                for n in (16, 128):
+                    want[k, n] = singular_set(surface, circle_angles(n), (0.4, 2.5))
+        for k, surface in enumerate(surfaces):
+            for n in (16, 128):
+                assert singular_set(surface, circle_angles(n), (0.4, 2.5)) == want[k, n]
+
     @staticmethod
     def scalar_singular_set(surface, thetas, rho_bracket, xtol=1e-10):
-        """Reference: per-ray scan, scalar check of each cell's ends, scipy bisect."""
+        """Reference: per-ray scan, scalar check of each cell's ends, scipy bisect.
+
+        A scan value within 8 eps of |h_z|^2 + |h_zbar|^2 counts as 0.
+        """
         rhos = np.linspace(*rho_bracket, 257)
         found = []
         for theta in thetas:
             def f_at(rho):
                 return float(singularity_residual(surface, rho * np.exp(1j * theta)))
 
-            f = singularity_residual(surface, rhos * np.exp(1j * theta))
+            ray = rhos * np.exp(1j * theta)
+            scale = np.abs(surface.planar.d_z(ray)) ** 2 + np.abs(surface.planar.d_zbar(ray)) ** 2
+            f = singularity_residual(surface, ray)
+            f = np.where(np.abs(f) <= 8.0 * np.finfo(float).eps * scale, 0.0, f)
             roots = [bisect(f_at, rhos[i], rhos[i + 1], xtol=xtol) for i in range(256)
                      if f[i] * f[i + 1] < 0.0 and f_at(rhos[i]) * f_at(rhos[i + 1]) < 0.0]
             found += [(theta, rho, abs(f_at(rho)), False) for rho in roots]
@@ -142,7 +201,7 @@ class TestSingularSet:
             build_surface(family_curve(2.0), 2.0),
             *(solve(random_valid_data(rng)) for _ in range(20)),
         ]
-        th = 2.0 * np.pi * np.arange(64) / 64
+        th = circle_angles(64)
         for surface in surfaces:
             got = singular_set(surface, th, (0.4, 2.5))
             want = self.scalar_singular_set(surface, th, (0.4, 2.5))
@@ -456,6 +515,30 @@ class TestHeightRecovery:
                 err = np.minimum(np.abs(got - true), np.abs(got - (2.0 * w0 - true)))
                 worst = max(worst, float(np.max(err / (1.0 + np.abs(true)))))
         assert worst < 1e-10
+
+    @staticmethod
+    def read_back(seed, tmp_path):
+        path = str(tmp_path / f"{seed}.surface.txt")
+        save_surface(solve(random_valid_data(np.random.default_rng(seed), fourier=True)), path)
+        return load_surface(path)
+
+    @pytest.mark.parametrize("seed", [111, 169, 190])
+    def test_ring_resolves_a_fast_turning_q(self, tmp_path, seed):
+        # Read back at truncation 6, these surfaces' q turns by up to 1.3-3.1
+        # rad between neighbours of a 128-point (16N) ring, which then reads
+        # an odd winding (-13, -11, -13 for -12, -12, -14); the ring doubles
+        # until each step is below pi/4 (1024 to 4096 points here).
+        surface = self.read_back(seed, tmp_path)
+        z0, targets = 0.9 + 0.3j, np.array([1.3 - 0.2j, 0.6 + 0.1j])
+        w0 = float(np.real(surface.height.eval(z0)))
+        got = np.array(w_from_h(surface.planar, z0, w0, targets))
+        assert np.max(np.abs(got - np.real(surface.height.eval(targets)))) < 1e-12
+
+    def test_unresolved_ring_raises(self, tmp_path, monkeypatch):
+        surface = self.read_back(111, tmp_path)
+        monkeypatch.setattr(maxsurf.surface, "RING_LIMIT", 128)
+        with pytest.raises(BranchPointError, match="not resolved by 128 samples"):
+            w_from_h(surface.planar, 0.9 + 0.3j, 0.0, [1.3 - 0.2j])
 
 
 class TestSignTracking:
