@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -202,23 +203,35 @@ def cmd_interpolate(args, config) -> int:
     return EXIT_OK
 
 
+def _finite_singular_set(surface, n_angles: int, rho_range) -> list:
+    """singular_set on n_angles rays; ValueError names the first point whose
+    values are not finite."""
+    points = singular_set(surface, circle_angles(n_angles), tuple(rho_range))
+    for p in points:
+        if not all(map(math.isfinite, (p.theta, p.rho, p.residual))):
+            raise ValueError(f"singular point theta = {p.theta:.17g}, rho = {p.rho:.17g} "
+                             f"has residual {p.residual}: the surface is not finite there")
+    return points
+
+
 def cmd_sample(args, config) -> int:
     surface = fileio.load_surface(args.surface)
     n_theta, n_rho = args.grid
     rho_range = tuple(args.rho_range)
+    if args.singular_sidecar:  # before any file is written
+        points = _finite_singular_set(surface, n_theta, rho_range)
     if args.format == "mesh":
         fileio.export_mesh(surface, args.out, n_theta, n_rho, rho_range)
     else:
         fileio.export_point_cloud(surface, args.out, n_theta, n_rho, rho_range)
     if args.singular_sidecar:
-        points = singular_set(surface, circle_angles(n_theta), rho_range)
         fileio.write_singular_csv(args.singular_sidecar, points)
     return EXIT_OK
 
 
 def cmd_singular_set(args, config) -> int:
     surface = fileio.load_surface(args.surface)
-    points = singular_set(surface, circle_angles(args.angles), tuple(args.rho_range))
+    points = _finite_singular_set(surface, args.angles, args.rho_range)
     fileio.write_singular_csv(args.out, points)
     return EXIT_OK
 
@@ -233,7 +246,7 @@ def cmd_gauss_map(args, config) -> int:
         regions += [region.value for region in classify_point(surface, block)]
         nus.append(gauss_map(surface, block))
     nus = np.concatenate(nus)
-    fileio.write_text(args.out, "theta,rho,region,nu_re,nu_im\n" + fileio.format_rows(
+    fileio.write_text(args.out, "theta,rho,region,nu_re,nu_im\n", (
         "%s,%s,%s,%.17g,%.17g\n", *fileio.grid_labels(thetas, radii), regions,
         nus.real, nus.imag))
     return EXIT_OK

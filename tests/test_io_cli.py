@@ -1,5 +1,6 @@
 """File formats, the command-line interface, and determinism."""
 
+import decimal
 import json
 import math
 import os
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import conftest
 import maxsurf
-from maxsurf import cli, fileio
+from conftest import random_valid_data
+from maxsurf import bjorling, cli, fileio
 from maxsurf.annulus import COEFF_FLOOR, HarmonicOnAnnulus, _centered, circle_angles, polar_grid
 from maxsurf.surface import MaximalSurface, Region, SingularPoint
 
@@ -38,6 +40,40 @@ def parse_text(loader, text: str):
             return loader(path)
         except fileio.SpecParseError as exc:
             return exc
+
+
+def g17_text(values) -> list:
+    """fileio.format_g17's cells as text, NULs removed."""
+    cells = fileio.format_g17(np.asarray(values, dtype=np.float64))
+    return [row.tobytes().replace(b"\0", b"").decode() for row in cells]
+
+
+def percent_text(values) -> list:
+    """The reference: ``"%.17g" % x`` for each value."""
+    return ["%.17g" % x for x in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def below_power_of_ten(p: int) -> float:
+    """The largest double below 10^p."""
+    x = float(f"1e{p}")
+    return x if decimal.Decimal(x) < decimal.Decimal(10) ** p else math.nextafter(x, 0.0)
+
+
+def seventeen_digit_ties() -> list:
+    """Doubles m / 2^e, m odd, whose exact decimal has 18 significant digits:
+    the last is 5, so rounding to 17 digits is an exact tie."""
+    rng = np.random.default_rng(17)
+    ties = []
+    for e in range(1, 26):
+        lo, hi = -(-10**17 // 5**e), min(10**18 // 5**e, 2**53)
+        if lo >= hi:  # every such m exceeds 2^53
+            continue
+        for m in rng.integers(lo, hi, 8).tolist() + [lo, hi - 1]:
+            x = (m | 1) / 2**e
+            digits = decimal.Decimal(x).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append(x)
+    return ties
 
 
 # Text without lone surrogates, which no UTF-8 file can hold.
@@ -257,8 +293,54 @@ class TestExports:
         assert rows == vertices
 
 
+class TestCellFormatter:
+    """fileio.format_g17 writes the bytes of "%.17g" % x for every double."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | st.floats(-1e17, 1e17), min_size=1, max_size=64))
+    def test_any_double(self, values):
+        assert g17_text(values) == percent_text(values)
+
+    def test_zeros_and_bounds_of_the_kernel_range(self):
+        bounds = [1e-6, 1e-5, 1e-4, 1e17]
+        values = [0.0, -0.0, *bounds, *np.nextafter(bounds, 0.0), *np.nextafter(bounds, np.inf)]
+        values += [-x for x in values]
+        assert g17_text(values) == percent_text(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{p}") for p in range(-7, 19)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        assert g17_text(values) == percent_text(values)
+        assert g17_text(-values) == percent_text(-values)
+
+    def test_digits_below_a_power_of_ten_do_not_carry(self):
+        # The largest doubles below 10^p, and the next ones below 10^17, stay
+        # below 10^p in 17 digits: the rounding never carries to 10^p.
+        powers = list(range(-6, 18)) + [17] * 8
+        values = [below_power_of_ten(p) for p in range(-6, 18)]
+        values += [1e17 - 16.0 * k for k in range(1, 9)]
+        text = percent_text(values)
+        assert g17_text(values) == text
+        assert all(decimal.Decimal(t) < decimal.Decimal(10) ** p for t, p in zip(text, powers))
+
+    def test_exact_ties_round_half_to_even(self):
+        ties = seventeen_digit_ties()
+        assert len(ties) > 100
+        assert g17_text(ties) == percent_text(ties)
+        assert g17_text(np.negative(ties)) == percent_text(np.negative(ties))
+
+        def half_up(x):
+            with decimal.localcontext() as ctx:
+                ctx.prec, ctx.rounding = 17, decimal.ROUND_HALF_UP
+                return +decimal.Decimal(x)
+
+        # The cases tell the rules apart: half up gives other digits for many.
+        differ = [x for x in ties if half_up(x) != decimal.Decimal("%.17g" % x)]
+        assert len(differ) > len(ties) // 4
+
+
 class TestTableBytes:
-    """fileio's one-%-operation tables write what the per-line writers wrote."""
+    """fileio's tables, by % or by format_g17, write what the per-line writers wrote."""
 
     @staticmethod
     def awkward_grid(n_theta, n_rho):
@@ -267,7 +349,7 @@ class TestTableBytes:
         return (np.resize(np.array(AWKWARD), n_theta),
                 np.resize(np.array(AWKWARD[::-1]), n_rho), *values)
 
-    @pytest.mark.parametrize("n_theta, n_rho", [(4, 3), (1, 1)])
+    @pytest.mark.parametrize("n_theta, n_rho", [(4, 3), (1, 1), (48, 16)])
     def test_exports_of_awkward_values(self, monkeypatch, tmp_path, catenoid, n_theta, n_rho):
         grid = self.awkward_grid(n_theta, n_rho)
         monkeypatch.setattr(fileio, "_sample_grid", lambda *args: grid)
@@ -290,7 +372,7 @@ class TestTableBytes:
     def test_singular_csv(self, tmp_path):
         points = [SingularPoint(x, y, z, bool(i % 2)) for i, (x, y, z)
                   in enumerate(zip(AWKWARD, AWKWARD[::-1], np.roll(AWKWARD, 3)))]
-        for rows in (points, []):
+        for rows in (points, [], points * 40):
             out = tmp_path / "sing.csv"
             fileio.write_singular_csv(str(out), rows)
             assert out.read_bytes() == conftest.reference_singular_text(rows).encode()
@@ -328,6 +410,27 @@ class TestTableBytes:
         fileio.save_surface(surface, str(out))
         assert out.read_bytes() == conftest.reference_surface_text(
             surface, fileio.COEFF_MAGIC, fileio.COEFF_FLOOR).encode()
+
+    @pytest.mark.parametrize("argv, kernel", [
+        (["sample", "--grid", "256", "128", "--format", "mesh"], True),
+        (["sample", "--grid", "256", "128", "--format", "csv"], True),
+        (["gauss-map", "--grid", "32", "16"], True),
+        (["sample", "--grid", str(fileio.KERNEL_ROWS - 1), "1", "--format", "csv"], False),
+        (["sample", "--grid", str(fileio.KERNEL_ROWS), "1", "--format", "csv"], True),
+    ], ids=["mesh", "csv", "gauss-map", "below-threshold", "at-threshold"])
+    def test_cli_tables_equal_the_percent_path(self, monkeypatch, tmp_path, argv, kernel):
+        surface_file = str(tmp_path / "bj.surface.txt")
+        data = random_valid_data(np.random.default_rng(3), fourier=True)
+        fileio.save_surface(bjorling.solve(data), surface_file)
+        argv = [*argv, "--surface", surface_file, "--out"]
+        calls = []
+        g17 = fileio.format_g17
+        monkeypatch.setattr(fileio, "format_g17", lambda values: calls.append(1) or g17(values))
+        assert cli.main([*argv, str(tmp_path / "kernel.out")]) == 0
+        assert bool(calls) == kernel
+        monkeypatch.setattr(fileio, "KERNEL_ROWS", sys.maxsize)  # every table by %
+        assert cli.main([*argv, str(tmp_path / "percent.out")]) == 0
+        assert (tmp_path / "kernel.out").read_bytes() == (tmp_path / "percent.out").read_bytes()
 
     @pytest.mark.parametrize("fmt", ["mesh", "csv"])
     def test_cli_sample_of_a_truncation_64_surface(self, tmp_path, fmt):
@@ -427,6 +530,10 @@ class TestCli:
                          id="expected-r0-beyond-float"),
             pytest.param("surface", b"\xff\xfe", "bad.surface.txt", id="surface-not-utf8"),
             pytest.param("spec", b"\xff\xfe", "c.json", id="spec-not-utf8"),
+            pytest.param("surface", "planar 1 0.25 0 -0.5 0", "bad.surface.txt:5",
+                         id="repeated-surface-mode"),
+            pytest.param("spec", {"planar": {"fourier": [[1, -0.75, 0], [1, 5.0, 0]]}},
+                         "planar", id="repeated-spec-mode"),
         ],
     )
     def test_malformed_inputs_exit_3(self, tmp_path, capsys, kind, defect, name):
@@ -464,6 +571,27 @@ class TestCli:
         assert err.startswith("parse error:")
         # The message names the file, component or key at fault.
         assert name in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--grid", "8", "4"], "grid point theta = 0, rho = 0.40000000000000002"),
+        (["sample", "--grid", "8", "4", "--format", "csv"],
+         "grid point theta = 0, rho = 0.40000000000000002"),
+        (["sample", "--grid", "8", "4", "--singular-sidecar"], "singular point theta = 0, rho = "),
+        (["singular-set", "--angles", "8"], "singular point theta = 0, rho = 1.7617187500000002"),
+    ], ids=["mesh", "csv", "sidecar", "singular-set"])
+    def test_non_finite_exports_exit_2(self, tmp_path, capsys, argv, message):
+        # Mode 1000 overflows on the annulus: the grid gets NaN, the singular
+        # points an infinite residual.
+        surface = tmp_path / "overflow.surface.txt"
+        surface.write_text("maxsurf-coefficients 1\nplanar.annulus 0.1 10\n"
+                           "planar 1000 1e-20 0 0 0\nheight.log 1 0\n")
+        if argv[-1] == "--singular-sidecar":
+            argv = [*argv, str(tmp_path / "sidecar.csv")]
+        with np.errstate(all="ignore"):
+            code = cli.main([*argv, "--surface", str(surface), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["overflow.surface.txt"]
 
     def test_one_sample_component_is_a_constant(self, tmp_path, capsys):
         spec = write_json(
