@@ -206,7 +206,8 @@ def cmd_interpolate(args, config) -> int:
 def _finite_singular_set(surface, n_angles: int, rho_range) -> list:
     """singular_set on n_angles rays; ValueError names the first point whose
     values are not finite."""
-    points = singular_set(surface, circle_angles(n_angles), tuple(rho_range))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        points = singular_set(surface, circle_angles(n_angles), tuple(rho_range))
     for p in points:
         if not all(map(math.isfinite, (p.theta, p.rho, p.residual))):
             raise ValueError(f"singular point theta = {p.theta:.17g}, rho = {p.rho:.17g} "

@@ -45,12 +45,17 @@ def format_rows(row: str, *columns) -> str:
     return (row * count) % tuple(cells)
 
 
-# Tables with a %.17g column and at least this many rows are formatted by
-# format_g17; smaller ones by %.  The two cost the same at about 256 rows
+# Tables of at least this many rows are formatted by the kernels; smaller
+# ones by %.  For %.17g tables the two cost the same at about 256 rows
 # (2-core Linux VM, lower quartile of 300 calls: mesh vertices 0.49 against
 # 0.51 ms, point-cloud CSV 0.55 against 0.59 ms, Gauss-map CSV 0.49 against
 # 0.47 ms); at 512 rows the kernel takes 0.56-0.66 of the time of %, at 128
-# rows 1.1-1.9 times it.
+# rows 1.1-1.9 times it.  Int-only tables ("f %d %d %d\n") cross later, at
+# about 384 rows: the kernel takes 1.29 times the time of % at 256 rows
+# (0.074 against 0.057 ms), 1.02 at 384, 0.88 at 512 and 0.40 at 65,024.
+# The singular-set CSV, whose residuals are mostly below 1e-6 and so take
+# format_g17's fallback, crosses at about 1,024 rows: 1.48 times at 256,
+# 0.95 at 1,024.  Neither costs more than 0.2 ms at 256 rows.
 KERNEL_ROWS = 256
 # Rows per block that write_rows formats and writes at once.  Whole 256 x 128
 # tables made megabyte strings whose release let the heap shrink, so that the
@@ -174,6 +179,32 @@ def format_g17(values) -> np.ndarray:
     return cells
 
 
+@functools.cache
+def _int_tables():
+    """The lanes of "%d" % g and "%04d" % g for g < 10^4, and 8 x the digits of "%d" % g."""
+    padded = _g17_tables()[2][:10000]  # the group lanes with no point and no stripping
+    shift = 8 * (1 + (np.arange(10000)[:, None] >= [10, 100, 1000]).sum(axis=1)).astype(np.uint64)
+    return padded >> (32 - shift), padded, shift
+
+
+def format_int(values) -> np.ndarray:
+    """``"%d" % v`` for each integer v, as a column of NUL-padded uint64 lanes.
+
+    For 0 <= v < 10^8 (an integer dtype) the lane is that of "%d" % hi and
+    then "%04d" % lo, hi, lo = divmod(v, 10^4), or "%d" % lo when hi is 0.
+    Any other column goes through %.
+    """
+    v = np.asarray(values)
+    if v.dtype.kind not in "iu" or not ((v >= 0) & (v < 10**8)).all():
+        return _percent_cells("%d", values)
+    bare, padded, shift = _int_tables()
+    hi, lo = np.divmod(v, 10**4)
+    top = hi > 0
+    lane = np.take(bare, np.where(top, hi, lo))
+    lane |= (np.take(padded, lo) << np.take(shift, hi)) * top
+    return lane[:, None]
+
+
 def _two_product(a, b):
     """hi + lo = a * b exactly, hi = fl(a * b) (Dekker 1971)."""
     hi = a * b
@@ -201,28 +232,27 @@ def _percent_cells(spec: str, column) -> np.ndarray:
 def write_rows(fh, row: str, *columns):
     """Write ``format_rows(row, *columns)`` to ``fh``, a binary file, as UTF-8.
 
-    The table is written in blocks of BLOCK_ROWS rows.  If it has a %.17g
-    column and at least KERNEL_ROWS rows, its %.17g cells come from
-    format_g17 and its other cells from % per value, all NUL-padded, joined
-    with the template's literals and compacted; their conversions are %.17g,
-    %d and %s, and neither the literals nor the cells hold a NUL.  Other
-    tables take one %-operation per block.
+    The table is written in blocks of BLOCK_ROWS rows.  A table of fewer
+    than KERNEL_ROWS rows takes one %-operation per block; the row count
+    alone decides.  In a larger one the %.17g cells come from format_g17,
+    the %d cells from format_int and the %s cells from % per value (a
+    bytes array is copied), all NUL-padded, joined with the template's
+    literals and compacted; neither the literals nor the cells hold a NUL.
     """
     count = len(columns[0])
     specs = _CONVERSION.findall(row)
-    kernel = count >= KERNEL_ROWS and "%.17g" in specs
-    if kernel:
+    if count >= KERNEL_ROWS:
         literals = [_lanes([text[i:i + 8] for i in range(0, len(text), 8)])
                     for text in (part.encode() for part in _CONVERSION.split(row))]
     for start in range(0, count, BLOCK_ROWS):
         blocks = [column[start:start + BLOCK_ROWS] for column in columns]
-        if not kernel:
+        if count < KERNEL_ROWS:
             fh.write(format_rows(row, *blocks).encode())
             continue
         parts = [literals[0]]
         for spec, block, literal in zip(specs, blocks, literals[1:]):
-            parts += [format_g17(block) if spec == "%.17g" else _percent_cells(spec, block),
-                      literal]
+            kernel = {"%.17g": format_g17, "%d": format_int}.get(spec)
+            parts += [kernel(block) if kernel else _percent_cells(spec, block), literal]
         lanes = np.cumsum([0] + [part.shape[-1] for part in parts])
         table = np.empty((len(blocks[0]), lanes[-1]), np.uint64)
         for part, lo, hi in zip(parts, lanes, lanes[1:]):
@@ -447,8 +477,9 @@ def grid_labels(thetas, radii) -> tuple[np.ndarray, np.ndarray]:
 def _sample_grid(surface: MaximalSurface, n_theta: int, n_rho: int, rho_range):
     """Angles, radii, and the flat x, y, t over the export grid, radius-major."""
     thetas, radii = export_grid(surface, n_theta, n_rho, rho_range)
-    p = surface.planar.eval_polar(radii, n_theta).ravel()
-    t = surface.height.eval_polar(radii, n_theta).real.ravel()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        p = surface.planar.eval_polar(radii, n_theta).ravel()
+        t = surface.height.eval_polar(radii, n_theta).real.ravel()
     bad = np.flatnonzero(~(np.isfinite(p) & np.isfinite(t)))
     if bad.size:
         i = bad[0]

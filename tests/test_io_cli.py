@@ -1,6 +1,7 @@
 """File formats, the command-line interface, and determinism."""
 
 import decimal
+import io
 import json
 import math
 import os
@@ -48,6 +49,11 @@ def g17_text(values) -> list:
     return [row.tobytes().replace(b"\0", b"").decode() for row in cells]
 
 
+def int_text(values) -> list:
+    """fileio.format_int's cells as text, NULs removed."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in fileio.format_int(values)]
+
+
 def percent_text(values) -> list:
     """The reference: ``"%.17g" % x`` for each value."""
     return ["%.17g" % x for x in np.asarray(values, dtype=np.float64).tolist()]
@@ -57,6 +63,13 @@ def below_power_of_ten(p: int) -> float:
     """The largest double below 10^p."""
     x = float(f"1e{p}")
     return x if decimal.Decimal(x) < decimal.Decimal(10) ** p else math.nextafter(x, 0.0)
+
+
+def src_env() -> dict:
+    """The environment of a subprocess that imports this checkout's maxsurf."""
+    src = os.path.dirname(os.path.dirname(maxsurf.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def seventeen_digit_ties() -> list:
@@ -339,8 +352,44 @@ class TestCellFormatter:
         assert len(differ) > len(ties) // 4
 
 
+class TestIntFormatter:
+    """fileio.format_int writes the bytes of "%d" % v for every value."""
+
+    EDGES = [0, 9, 10, 999, 1000, 9999, 10000, 10001, 99999, 10**7, 10**8 - 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 10**8 - 1), min_size=1, max_size=64))
+    def test_any_integer_below_10_to_the_8(self, values):
+        assert int_text(np.array(values)) == ["%d" % v for v in values]
+
+    def test_digit_count_edges_take_one_lane(self):
+        cells = fileio.format_int(np.array(self.EDGES))
+        assert cells.shape == (len(self.EDGES), 1)
+        assert int_text(np.array(self.EDGES)) == ["%d" % v for v in self.EDGES]
+
+    @pytest.mark.parametrize("column", [
+        [-1], [10**8], [2**63 - 1], [2**64 + 7], [-1, 2**63], [1.0, 2.5],
+        np.array([5, 10**5, -3], np.int32), np.array([7, 65535], np.uint16),
+        np.array([True, False]), np.array([3, 2**70], dtype=object),
+    ], ids=["minus-one", "10^8", "int64-max", "beyond-int64", "beyond-int64-mixed", "floats",
+            "int32", "uint16", "bool", "object"])
+    def test_fallbacks(self, column):
+        if isinstance(column, list):  # the whole column takes %, the edges too
+            column = column + self.EDGES
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        assert int_text(column) == ["%d" % v for v in values]
+
+    def test_python_list(self):
+        assert int_text(self.EDGES) == ["%d" % v for v in self.EDGES]
+
+    def test_strided_column(self):
+        faces = np.random.default_rng(18).integers(0, 10**6, (500, 3))
+        assert not faces.T[1].flags.contiguous
+        assert int_text(faces.T[1]) == ["%d" % v for v in faces[:, 1].tolist()]
+
+
 class TestTableBytes:
-    """fileio's tables, by % or by format_g17, write what the per-line writers wrote."""
+    """fileio's tables, by % or by the kernels, write what the per-line writers wrote."""
 
     @staticmethod
     def awkward_grid(n_theta, n_rho):
@@ -411,26 +460,52 @@ class TestTableBytes:
         assert out.read_bytes() == conftest.reference_surface_text(
             surface, fileio.COEFF_MAGIC, fileio.COEFF_FLOOR).encode()
 
-    @pytest.mark.parametrize("argv, kernel", [
-        (["sample", "--grid", "256", "128", "--format", "mesh"], True),
-        (["sample", "--grid", "256", "128", "--format", "csv"], True),
-        (["gauss-map", "--grid", "32", "16"], True),
-        (["sample", "--grid", str(fileio.KERNEL_ROWS - 1), "1", "--format", "csv"], False),
-        (["sample", "--grid", str(fileio.KERNEL_ROWS), "1", "--format", "csv"], True),
-    ], ids=["mesh", "csv", "gauss-map", "below-threshold", "at-threshold"])
-    def test_cli_tables_equal_the_percent_path(self, monkeypatch, tmp_path, argv, kernel):
+    # Whether format_g17 and format_int run: only mesh faces have %d cells;
+    # a mesh of 64 x 3 has 192 vertices, below KERNEL_ROWS, and 256 faces.
+    @pytest.mark.parametrize("argv, kernel, ints", [
+        (["sample", "--grid", "256", "128", "--format", "mesh"], True, True),
+        (["sample", "--grid", "256", "128", "--format", "csv"], True, False),
+        (["gauss-map", "--grid", "32", "16"], True, False),
+        (["sample", "--grid", str(fileio.KERNEL_ROWS - 1), "1", "--format", "csv"], False, False),
+        (["sample", "--grid", str(fileio.KERNEL_ROWS), "1", "--format", "csv"], True, False),
+        (["sample", "--grid", "127", "2", "--format", "mesh"], False, False),
+        (["sample", "--grid", "128", "2", "--format", "mesh"], True, True),
+        (["sample", "--grid", "64", "3", "--format", "mesh"], False, True),
+    ], ids=["mesh", "csv", "gauss-map", "below-threshold", "at-threshold",
+            "mesh-below-threshold", "mesh-at-threshold", "mesh-faces-only"])
+    def test_cli_tables_equal_the_percent_path(self, monkeypatch, tmp_path, argv, kernel, ints):
         surface_file = str(tmp_path / "bj.surface.txt")
         data = random_valid_data(np.random.default_rng(3), fourier=True)
         fileio.save_surface(bjorling.solve(data), surface_file)
         argv = [*argv, "--surface", surface_file, "--out"]
-        calls = []
-        g17 = fileio.format_g17
+        calls, int_calls = [], []
+        g17, format_int = fileio.format_g17, fileio.format_int
         monkeypatch.setattr(fileio, "format_g17", lambda values: calls.append(1) or g17(values))
+        monkeypatch.setattr(fileio, "format_int",
+                            lambda values: int_calls.append(1) or format_int(values))
         assert cli.main([*argv, str(tmp_path / "kernel.out")]) == 0
         assert bool(calls) == kernel
+        assert bool(int_calls) == ints
         monkeypatch.setattr(fileio, "KERNEL_ROWS", sys.maxsize)  # every table by %
         assert cli.main([*argv, str(tmp_path / "percent.out")]) == 0
         assert (tmp_path / "kernel.out").read_bytes() == (tmp_path / "percent.out").read_bytes()
+
+    @pytest.mark.parametrize("count", [fileio.KERNEL_ROWS - 1, fileio.KERNEL_ROWS,
+                                       fileio.BLOCK_ROWS + 1])
+    def test_int_table(self, monkeypatch, count):
+        # Digit-count edges, integers below 10^8, and a column of values that
+        # take %: negative ones and ones of up to 13 digits.
+        rng = np.random.default_rng(count)
+        columns = (np.resize(np.array(TestIntFormatter.EDGES), count),
+                   rng.integers(0, 10**8, count), rng.integers(-10**12, 10**12, count))
+        calls = []
+        format_int = fileio.format_int
+        monkeypatch.setattr(fileio, "format_int",
+                            lambda values: calls.append(1) or format_int(values))
+        fh = io.BytesIO()
+        fileio.write_rows(fh, "f %d %d %d\n", *columns)
+        assert fh.getvalue() == fileio.format_rows("f %d %d %d\n", *columns).encode()
+        assert bool(calls) == (count >= fileio.KERNEL_ROWS)
 
     @pytest.mark.parametrize("fmt", ["mesh", "csv"])
     def test_cli_sample_of_a_truncation_64_surface(self, tmp_path, fmt):
@@ -592,6 +667,21 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["overflow.surface.txt"]
+
+    @pytest.mark.parametrize("argv", [["sample", "--grid", "8", "4"],
+                                      ["singular-set", "--angles", "8"]],
+                             ids=["sample", "singular-set"])
+    def test_overflow_prints_only_the_error(self, tmp_path, argv):
+        surface = tmp_path / "overflow.surface.txt"
+        surface.write_text("maxsurf-coefficients 1\nplanar.annulus 0.1 10\n"
+                           "planar 1000 1e-20 0 0 0\nheight.log 1 0\n")
+        code = "import sys\nfrom maxsurf import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-c", code, *argv, "--surface", str(surface),
+             "--out", str(tmp_path / "out")], capture_output=True, text=True, env=src_env())
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
 
     def test_one_sample_component_is_a_constant(self, tmp_path, capsys):
         spec = write_json(
@@ -952,11 +1042,7 @@ class TestCli:
             "assert cli.main(argv) == 0\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         )
-        src = os.path.dirname(os.path.dirname(maxsurf.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path}, check=True,
-        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=src_env(), check=True)
         assert result.stdout.strip() == "[]"
         assert len((tmp_path / "sing.csv").read_text().splitlines()) == 1 + 64
