@@ -34,6 +34,7 @@ DEFAULT_BRACKET = (0.01, 100.0)
 SCAN_POINTS = 512
 SEARCH_SECTIONS = 8  # bracket sections per kernel call in the radius search
 UNIT_GAP = 1e-6  # relative exclusion zone around r0 = 1
+VERIFY_TOL = 1e-9  # build_surface's curve reproduction error at r0
 
 
 class InterpolationError(ValueError):
@@ -58,8 +59,17 @@ class SpacelikeCurve:
         )
 
 
+def _check_real_height(curve: SpacelikeCurve) -> None:
+    """Raise InterpolationError unless the height component is real to
+    1e-9 (1 + max |coefficient|)."""
+    if curve.height.realness_error() > 1e-9 * (1.0 + curve.height.max_abs()):
+        raise InterpolationError("height component of the curve is not real")
+
+
 def spacelike_margin(curve: SpacelikeCurve, n_samples: int = 256) -> float:
-    """min over the curve of |planar tangent|^2 - (height tangent)^2."""
+    """min over the curve of |planar tangent|^2 - (height tangent)^2; a height
+    that is not real raises InterpolationError (`_check_real_height`)."""
+    _check_real_height(curve)
     dp = fourier_synthesize(curve.planar.derivative(), n_samples)
     dh = np.real(fourier_synthesize(curve.height.derivative(), n_samples))
     return float(np.min(np.abs(dp) ** 2 - dh**2))
@@ -86,8 +96,7 @@ class ModifiedCoefficients:
 
 def _curve_arrays(curve: SpacelikeCurve) -> tuple[int, np.ndarray, np.ndarray]:
     """K and the planar and height coefficients of modes -K..K, checked."""
-    if curve.height.realness_error() > 1e-9 * (1.0 + curve.height.max_abs()):
-        raise InterpolationError("height component of the curve is not real")
+    _check_real_height(curve)
     K = max(curve.planar.max_mode, curve.height.max_mode, 1)
     return K, curve.planar.coeff_array(K), curve.height.coeff_array(K)
 
@@ -247,7 +256,6 @@ def build_surface(
     curve: SpacelikeCurve,
     r0: float,
     residual_tol: float = RESIDUAL_TOL,
-    verify_tol: float = 1e-9,
 ) -> MaximalSurface:
     """The maximal surface through the curve at radius r0, fully verified;
     its ``residual`` is `scalar_residual` at r0.
@@ -283,7 +291,7 @@ def build_surface(
         float(np.max(np.abs(surface.planar.eval(ring) - curve.planar.sample(thetas)))),
         float(np.max(np.abs(surface.height.eval(ring) - curve.height.sample(thetas)))),
     )
-    if curve_err > verify_tol:
+    if curve_err > VERIFY_TOL:
         raise InterpolationError(f"curve reproduction error {curve_err:.3g} at r0")
     grid = grid_points(surface)
     conf = float(np.max(np.abs(conformality_residual(surface, grid))))

@@ -14,7 +14,6 @@ its singular set.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,9 @@ RING_LIMIT = 1 << 16
 # Largest |w_z^2 - h_z conj(h_zbar)| / (|h_z| |h_zbar|) at which the normal
 # and the Gauss map take their sign from w_z.
 CONFORMAL_TOL = 1e-6
+
+SPECIAL_TOL = 1e-8  # special_singularity_check's bound on spread and metric
+SPECIAL_SAMPLES = 256  # points on special_singularity_check's circle
 
 # Radii used for default grids on sentinel (0, inf) domains.
 FALLBACK_INNER = 0.5
@@ -76,11 +78,6 @@ class MaximalSurface:
     @property
     def outer_radius(self) -> float:
         return min(self.planar.outer_radius, self.height.outer_radius)
-
-    # Branch signs of `normal` and `gauss_map`, each fixed once at an anchor.
-    _normal_sign = functools.cached_property(lambda self: _anchor_sign(self, None))
-    _holo_sign = functools.cached_property(lambda self: _anchor_sign(self, Region.HOLO_DOMINANT))
-    _anti_sign = functools.cached_property(lambda self: _anchor_sign(self, Region.ANTI_DOMINANT))
 
 
 def evaluate(surface: MaximalSurface, z):
@@ -155,10 +152,11 @@ def grid_points(surface_or_harmonic, n_theta: int = 64, n_rho: int = 16) -> np.n
 # -- degeneracy -------------------------------------------------------------
 
 
-def is_degenerate(planar: HarmonicOnAnnulus, tol: float = DEGENERACY_TOL) -> bool:
-    """True iff |planar_z| and |planar_zbar| agree on the 16 x 64 `grid_radii` grid."""
+def is_degenerate(planar: HarmonicOnAnnulus) -> bool:
+    """True iff |planar_z| and |planar_zbar| agree within DEGENERACY_TOL on
+    the 16 x 64 `grid_radii` grid."""
     hz, hzb = planar.d_polar(grid_radii(planar), 64)
-    return bool(np.max(np.abs(np.abs(hz) - np.abs(hzb))) < tol)
+    return bool(np.max(np.abs(np.abs(hz) - np.abs(hzb))) < DEGENERACY_TOL)
 
 
 # -- singular set -----------------------------------------------------------
@@ -168,6 +166,9 @@ _BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 # Points x modes per batched derivative call; bounds the mode matrices.
 _BATCH_ENTRIES = 1 << 20
+
+SCAN_SUBDIVISIONS = 256  # radius cells per ray of the singular-set scan
+SCAN_XTOL = 1e-10  # absolute tolerance in rho of its bisection
 
 # A scan value at most this many eps of |h_z|^2 + |h_zbar|^2 is a zero.
 _SCAN_ZERO_ULPS = 8.0
@@ -245,27 +246,21 @@ def _scan(surface: MaximalSurface, n_theta: int, rhos: np.ndarray) -> np.ndarray
     return np.where(np.abs(f) <= _SCAN_ZERO_ULPS * np.finfo(float).eps * (holo + anti), 0.0, f).T
 
 
-def singular_set(
-    surface: MaximalSurface,
-    thetas,
-    rho_bracket: tuple[float, float],
-    subdivisions: int = 256,
-    xtol: float = 1e-10,
-    residual_tol: float = SINGULAR_TOL,
-) -> list[SingularPoint]:
+def singular_set(surface: MaximalSurface, thetas,
+                 rho_bracket: tuple[float, float]) -> list[SingularPoint]:
     """Roots of rho -> |planar_z|^2 - |planar_zbar|^2 along each ray.
 
-    ``thetas`` must be ``circle_angles(n)``: the rays at ``subdivisions + 1``
+    ``thetas`` must be ``circle_angles(n)``: the rays at SCAN_SUBDIVISIONS + 1
     radii form a polar grid, scanned by `_scan`.  The ends of every
     sign-change cell of every ray are re-evaluated together; the cells that
     still straddle zero are refined by one batched bisection, which takes
-    scipy.optimize.bisect's steps on each bracket and evaluates all open
-    midpoints in one call per halving.  A node that the scan reads as 0
-    between opposite signs is itself a root.
+    scipy.optimize.bisect's steps on each bracket (xtol SCAN_XTOL) and
+    evaluates all open midpoints in one call per halving.  A node that the
+    scan reads as 0 between opposite signs is itself a root.
 
     Zeros the scan cannot bracket (the residual touches zero without
     crossing, or vanishes on a whole sub-interval) are reported once per
-    below-tolerance run with the ``tangential`` flag set.
+    run below SINGULAR_TOL with the ``tangential`` flag set.
     """
     lo, hi = rho_bracket
     if not (surface.inner_radius < lo < hi < surface.outer_radius):
@@ -274,7 +269,7 @@ def singular_set(
     if not (len(thetas) and np.array_equal(thetas, circle_angles(len(thetas)))):
         raise ValueError("the rays must be at circle_angles(n) for some n >= 1")
     spins = np.exp(1j * thetas)
-    rhos = np.linspace(lo, hi, subdivisions + 1)
+    rhos = np.linspace(lo, hi, SCAN_SUBDIVISIONS + 1)
     scan = _scan(surface, len(thetas), rhos)
 
     # Near-tangential zeros can flip sign between the scan and a second
@@ -287,7 +282,7 @@ def singular_set(
     ray, cell, fa = ray[straddle], cell[straddle], fa[straddle]
     roots = _bisect_brackets(
         lambda x, k: _residual_at(surface, x * spins[ray[k]]),
-        rhos[cell], rhos[cell + 1], fa, xtol,
+        rhos[cell], rhos[cell + 1], fa, SCAN_XTOL,
     )
     # A crossing that lands on a node leaves a zero between opposite signs:
     # the node is the root.
@@ -298,7 +293,7 @@ def singular_set(
 
     # Tangential zeros: maximal runs of |f| below tolerance that contain no
     # bracketed root get one flagged representative at the run center.
-    below = np.abs(scan) < residual_tol
+    below = np.abs(scan) < SINGULAR_TOL
     edge = np.diff(np.pad(below, ((0, 0), (1, 1))).astype(np.int8), axis=1)
     run_ray, first = np.nonzero(edge == 1)
     last = np.nonzero(edge == -1)[1] - 1
@@ -307,7 +302,7 @@ def singular_set(
     ray_hi = np.searchsorted(ray, run_ray, side="right")
     bare = np.array(
         [
-            not np.any((rhos[i] - xtol <= roots[s:e]) & (roots[s:e] <= rhos[j] + xtol))
+            not np.any((rhos[i] - SCAN_XTOL <= roots[s:e]) & (roots[s:e] <= rhos[j] + SCAN_XTOL))
             for i, j, s, e in zip(first, last, ray_lo, ray_hi)
         ],
         dtype=bool,
@@ -328,45 +323,14 @@ def singular_set(
 # -- normal and Gauss map ---------------------------------------------------
 
 
-def _regular_anchor(surface: MaximalSurface, region: Region | None = None) -> complex:
-    """A fixed regular point at which a branch sign is chosen.
-
-    The theta = 0 ray is scanned first so that, whenever the region meets the
-    positive real axis, the anchor (and with it the square-root branch) sits
-    there; a full grid is the fallback for regions that avoid the axis.
-    """
-
-    def best_margin(candidates):
-        hz = np.abs(surface.planar.d_z(candidates))
-        hzb = np.abs(surface.planar.d_zbar(candidates))
-        if region is Region.HOLO_DOMINANT:
-            margin = hz - hzb
-        elif region is Region.ANTI_DOMINANT:
-            margin = hzb - hz
-        else:
-            margin = np.abs(hz - hzb)
-        i = int(np.argmax(margin))
-        return complex(candidates[i]), float(margin[i])
-
-    ray = grid_radii(surface, 33).astype(complex)
-    anchor, margin = best_margin(ray)
-    if margin > 100.0 * SINGULAR_TOL:
-        return anchor
-    anchor, margin = best_margin(grid_points(surface, 16, 8))
-    if margin <= SINGULAR_TOL:
-        raise SingularPointError("no regular anchor found for the requested region")
-    return anchor
-
-
 def _guided_root(surface: MaximalSurface, z, hz, hzb, region: Region | None):
-    """(principal root, sign) of the normal's (region None) or the Gauss map's
-    square root at the points z of that region.
+    """The normal's (region None) or the Gauss map's square root at the points
+    z of that region, on the branch of the guide h_z conj(w_z).
 
-    The sign is +1 or -1 per point: -1 where the principal root points away
-    from the guide h_z conj(w_z).  By w_z^2 = h_z conj(h_zbar), the guide's
-    square is a positive multiple of each root's argument, so sign * root is
-    continuous wherever the guide is nonzero.  Raises BranchPointError where
-    the relation misses by more than CONFORMAL_TOL relative to |h_z||h_zbar|.
+    By w_z^2 = h_z conj(h_zbar), the guide's square is a positive multiple of
+    each root's argument, so w_z picks the branch: the principal root, negated
+    where it points away from the guide.  Raises BranchPointError where the
+    relation misses by more than CONFORMAL_TOL relative to |h_z||h_zbar|.
     """
     wz = surface.height.d_z(z)
     bad = np.abs(wz**2 - hz * np.conj(hzb)) > CONFORMAL_TOL * np.abs(hz) * np.abs(hzb)
@@ -382,33 +346,24 @@ def _guided_root(surface: MaximalSurface, z, hz, hzb, region: Region | None):
     else:
         root = np.sqrt(hzb / np.conj(hz))
     # root * conj(guide) = root * conj(h_z) * w_z
-    return root, np.where((root * np.conj(hz) * wz).real < 0.0, -1.0, 1.0)
-
-
-def _anchor_sign(surface: MaximalSurface, region: Region | None) -> float:
-    """`_guided_root`'s sign at the region's anchor; multiplied by it, the
-    guided branch is the principal root there."""
-    anchor = np.array([_regular_anchor(surface, region)])
-    hz, hzb = surface.planar.d_z(anchor), surface.planar.d_zbar(anchor)
-    return float(_guided_root(surface, anchor, hz, hzb, region)[1][0])
+    return root * np.where((root * np.conj(hz) * wz).real < 0.0, -1.0, 1.0)
 
 
 POINT_AT_INFINITY = complex(np.inf, 0.0)
 
 
-def normal(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
+def normal(surface: MaximalSurface, z):
     """Unit Minkowski normal (planar part, height part) at regular points.
 
-    N = (2 s, |h_zbar| + |h_z|) / (|h_zbar| - |h_z|) with s a square root of
-    h_z h_zbar, rescaled to |s| = sqrt(|h_z| |h_zbar|) so that N has
-    Minkowski norm -1 exactly.  Sign convention: s = e conj(w_z) h_z / |h_z|,
-    computed as the principal root negated where it points away from
-    h_z conj(w_z), with e = +-1 fixed once per surface so that s is the
-    principal root at the surface's anchor (`_regular_anchor`).
+    N = (2 s, |h_zbar| + |h_z|) / (|h_zbar| - |h_z|) with s the square root
+    of h_z h_zbar whose phase is that of h_z conj(w_z) (`_guided_root`),
+    rescaled to |s| = sqrt(|h_z| |h_zbar|) so that N has Minkowski norm -1
+    exactly.  This sign makes N Minkowski-orthogonal to the tangents
+    X_x = (h_z + h_zbar, 2 Re w_z) and X_y = (i (h_z - h_zbar), -2 Im w_z).
 
-    z may be a point or an array.  A singular point raises
-    SingularPointError; in an array, singular points give NaN.  A point
-    where the surface is not conformal (see `_guided_root`) raises
+    z may be a point or an array.  A singular point (within SINGULAR_TOL)
+    raises SingularPointError; in an array, singular points give NaN.  A
+    point where the surface is not conformal (see `_guided_root`) raises
     BranchPointError.
     """
     zz = np.asarray(z, dtype=complex)
@@ -416,11 +371,10 @@ def normal(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
     hz, hzb = surface.planar.d_z(flat), surface.planar.d_zbar(flat)
     ahz, ahzb = np.abs(hz), np.abs(hzb)
     denom = ahzb - ahz
-    ok = np.abs(denom) > tol * (1.0 + ahz + ahzb)
+    ok = np.abs(denom) > SINGULAR_TOL * (1.0 + ahz + ahzb)
     if zz.ndim == 0 and not ok[0]:
         raise SingularPointError(f"{complex(zz)} is a singular point")
-    root, sign = _guided_root(surface, flat[ok], hz[ok], hzb[ok], None)
-    root = root * (sign * surface._normal_sign)
+    root = _guided_root(surface, flat[ok], hz[ok], hzb[ok], None)
     # The magnitude is known in closed form, which keeps the Minkowski norm
     # exact even near the singular set.
     size = np.abs(root)
@@ -434,26 +388,26 @@ def normal(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
     return planar.reshape(zz.shape), height.reshape(zz.shape)
 
 
-def gauss_map(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
+def gauss_map(surface: MaximalSurface, z):
     """Stereographically projected normal at regular points.
 
     nu^2 is h_z / conj(h_zbar) where |h_zbar| < |h_z| (holo-dominant) and
-    h_zbar / conj(h_z) where |h_zbar| > |h_z| (anti-dominant).  Sign
-    convention: nu = e_holo h_z / w_z and nu = -e_anti / conj(h_z / w_z),
-    computed as the principal root of the ratio negated where it points away
-    from h_z conj(w_z); e_holo, e_anti = +-1 are fixed once per region so
-    that nu is the principal root at the holo anchor and minus the principal
-    root at the anti anchor (`_regular_anchor`).
+    h_zbar / conj(h_z) where |h_zbar| > |h_z| (anti-dominant).  The sign is
+    the one of `normal`: nu = h_z / w_z on holo points and -conj(w_z / h_z)
+    on anti points, so that nu = N_planar / (1 + N_height) and
+    N_planar / (1 - N_height) there.  It is computed as the principal root
+    of the ratio on the branch of `_guided_root`, negated on anti points.
 
     Returns POINT_AT_INFINITY where the denominator derivative vanishes.  z
-    may be a point or an array.  A singular point raises SingularPointError;
-    in an array, singular points give NaN.  A point where the surface is not
-    conformal (see `_guided_root`) raises BranchPointError.
+    may be a point or an array.  A singular point (within SINGULAR_TOL)
+    raises SingularPointError; in an array, singular points give NaN.  A
+    point where the surface is not conformal (see `_guided_root`) raises
+    BranchPointError.
     """
     zz = np.asarray(z, dtype=complex)
     flat = zz.ravel()
     hz, hzb = _planar_derivatives(surface, flat)
-    side = _sides(hz, hzb, tol)
+    side = _sides(hz, hzb, SINGULAR_TOL)
     if zz.ndim == 0 and side[0] == 0:
         raise SingularPointError(f"{complex(zz)} is a singular point")
     num = np.where(side < 0, hzb, hz)
@@ -462,11 +416,9 @@ def gauss_map(surface: MaximalSurface, z, tol: float = SINGULAR_TOL):
     nu = np.where(side == 0, complex(np.nan, np.nan), POINT_AT_INFINITY)
     holo, anti = (side > 0) & finite, (side < 0) & finite
     if np.any(holo):
-        root, sign = _guided_root(surface, flat[holo], hz[holo], hzb[holo], Region.HOLO_DOMINANT)
-        nu[holo] = root * (sign * surface._holo_sign)
+        nu[holo] = _guided_root(surface, flat[holo], hz[holo], hzb[holo], Region.HOLO_DOMINANT)
     if np.any(anti):
-        root, sign = _guided_root(surface, flat[anti], hz[anti], hzb[anti], Region.ANTI_DOMINANT)
-        nu[anti] = root * (sign * -surface._anti_sign)
+        nu[anti] = -_guided_root(surface, flat[anti], hz[anti], hzb[anti], Region.ANTI_DOMINANT)
     return complex(nu[0]) if zz.ndim == 0 else nu.reshape(zz.shape)
 
 
@@ -555,11 +507,10 @@ def w_from_h(planar: HarmonicOnAnnulus, z0: complex, w0: float, targets, via=Non
 # -- special singularities --------------------------------------------------
 
 
-def special_singularity_check(
-    surface: MaximalSurface, radius: float, tol: float = 1e-8, samples: int = 256
-) -> bool:
-    """True iff the circle |z| = radius maps to a single point and is singular."""
-    circle = radius * np.exp(1j * circle_angles(samples))
+def special_singularity_check(surface: MaximalSurface, radius: float) -> bool:
+    """True iff the circle |z| = radius maps to a single point and is singular,
+    both within SPECIAL_TOL on SPECIAL_SAMPLES points."""
+    circle = radius * np.exp(1j * circle_angles(SPECIAL_SAMPLES))
     p = surface.planar.eval(circle)
     w = np.real(surface.height.eval(circle))
     spread = max(
@@ -567,4 +518,4 @@ def special_singularity_check(
         float(np.max(np.abs(w - w[0]))),
     )
     eta_max = float(np.max(metric_factor(surface, circle)))
-    return spread < tol and eta_max < tol
+    return spread < SPECIAL_TOL and eta_max < SPECIAL_TOL

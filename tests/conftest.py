@@ -31,6 +31,17 @@ def catenoid():
 
 
 @pytest.fixture
+def lobe():
+    """h = z + (c^2/13) zbar^13, w = (c/7)(z^7 + zbar^7), c = 2^-6: conformal,
+    singular on |z| = 2, anti-dominant only outside it (past the 0.5-2 radii
+    of the default grids)."""
+    c = 2.0**-6
+    planar = HarmonicOnAnnulus.from_modes(holo={1: 1.0}, antiholo={-13: c * c / 13})
+    height = HarmonicOnAnnulus.from_modes(holo={7: c / 7}, antiholo={-7: c / 7})
+    return MaximalSurface(planar, height)
+
+
+@pytest.fixture
 def catenoid_data():
     """Boundary data whose solution is the catenoid: constant curve at the
     origin, radial field (e^{i theta}, 1)."""
@@ -128,9 +139,12 @@ def path_nodes(z_from: complex, z_to: complex, per_leg: int) -> np.ndarray:
     return np.concatenate([radial, arc[1:]])
 
 
-def tracked_sqrt(fn, anchor: complex, z: complex, per_leg: int = 96) -> complex:
-    """sqrt(fn) at z, continued continuously from the principal root at anchor."""
+def tracked_sqrt(surface, fn, anchor: complex, z: complex, per_leg: int = 96) -> complex:
+    """sqrt(fn) at z, continued continuously from the root at anchor that is
+    aligned with the guide h_z conj(w_z) there."""
     start = np.sqrt(complex(fn(anchor)))
+    if (start * np.conj(surface.planar.d_z(anchor)) * surface.height.d_z(anchor)).real < 0.0:
+        start = -start
     prev_val = None
     n = per_leg
     for _ in range(6):
@@ -191,7 +205,7 @@ def tracked_normal(surface, z, tol=SINGULAR_TOL):
     denom = abs(hzb) - abs(hz)
     if abs(denom) <= tol * (1.0 + abs(hz) + abs(hzb)):
         raise SingularPointError(f"{z} is a singular point")
-    root = tracked_sqrt(normal_argument(surface), regular_anchor(surface), z)
+    root = tracked_sqrt(surface, normal_argument(surface), regular_anchor(surface), z)
     root *= np.sqrt(abs(hz) * abs(hzb)) / abs(root)
     return 2.0 * root / denom, (abs(hzb) + abs(hz)) / denom
 
@@ -208,7 +222,8 @@ def tracked_gauss_map(surface, z, tol=SINGULAR_TOL) -> complex:
     num, den = top(z), np.conj(bottom(z))
     if abs(den) < BRANCH_FLOOR * (1.0 + abs(num)):
         return complex(np.inf, 0.0)
-    return sign * tracked_sqrt(gauss_argument(surface, region), regular_anchor(surface, region), z)
+    return sign * tracked_sqrt(surface, gauss_argument(surface, region),
+                              regular_anchor(surface, region), z)
 
 
 # -- the per-line writers that fileio's one-%-operation tables replaced: the

@@ -552,6 +552,18 @@ class TestCli:
         assert payload["passed"] is True
         assert payload["spacelike_margin"] > 0.0
 
+    def test_validate_rejects_a_height_that_is_not_real(self, tmp_path, capsys):
+        # The height ln(1/2) + 0.1 i (e^{i theta} + e^{-i theta}) is imaginary
+        # in part; its real part alone would pass as spacelike.
+        spec = write_json(tmp_path / "imag.json", {
+            "kind": "curve",
+            "planar": {"fourier": [[1, -0.75, 0]]},
+            "height": {"fourier": [[0, math.log(0.5), 0], [1, 0, 0.1]]},
+        })
+        for argv in (["validate"], ["interpolate", "--out", str(tmp_path / "imag")]):
+            assert cli.main([*argv, "--spec", spec]) == 2
+            assert capsys.readouterr().err == "error: height component of the curve is not real\n"
+
     def test_validate_rejects_timelike_curve(self, tmp_path):
         spec = write_json(
             tmp_path / "t.json",
@@ -822,6 +834,15 @@ class TestCli:
         z = float(rho) * np.exp(1j * float(th))
         assert abs(complex(float(nu_re), float(nu_im)) - z) < 1e-9
 
+    def test_gauss_map_past_the_default_grid(self, lobe, tmp_path):
+        # Anti-dominant points exist only at |z| > 2.
+        surface_file = str(tmp_path / "lobe.surface.txt")
+        fileio.save_surface(lobe, surface_file)
+        gm = tmp_path / "gauss.csv"
+        assert cli.main(["gauss-map", "--surface", surface_file, "--out", str(gm),
+                         "--rho-range", "0.5", "2.5"]) == 0
+        assert ",anti," in gm.read_text()
+
     def test_gauss_map_rejects_a_non_conformal_surface(self, catenoid, tmp_path, capsys):
         # The catenoid's planar part with zero height: w_z = 0 everywhere.
         surface_file = str(tmp_path / "flat.surface.txt")
@@ -936,7 +957,7 @@ class TestCli:
                                 or m(self, z))
         assert cli.main(["gauss-map", "--surface", surface_file, "--out",
                          str(tmp_path / "gauss.csv"), "--grid", "16", "8"]) == 0
-        # Past the whole grid, only the anchors and each region's w_z remain.
+        # Past the whole grid, only each region's w_z remains.
         assert sizes["d_z"].count(16 * 8) == 1
         assert sizes["d_zbar"].count(16 * 8) == 1
         assert max(sizes["d_zbar"]) == 16 * 8
@@ -953,9 +974,8 @@ class TestCli:
         monkeypatch.setattr(HarmonicOnAnnulus, "d_z",
                             lambda self, z: sizes.append(np.size(z)) or d_z(self, z))
         assert cli.main([*argv, str(tmp_path / "blocks.csv")]) == 0
-        # 26 blocks of at most 5 points (past the anchors' 33-point ray) give
-        # the one-block table.
-        assert sizes.count(5) >= 25 and max(sizes) == 33
+        # 26 blocks of at most 5 points give the one-block table.
+        assert sizes.count(5) >= 25 and max(sizes) == 5
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     def test_config_merging(self, tmp_path, monkeypatch, catenoid_curve_spec):

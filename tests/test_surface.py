@@ -304,8 +304,8 @@ class TestNormalAndGauss:
             assert abs(gauss_map(catenoid, z) - z) < 1e-10
 
     def test_catenoid_gauss_inside(self, catenoid):
-        # Inside the unit circle the map is -1/zbar (branch anchored on the
-        # positive real axis).
+        # Inside the unit circle the points are anti-dominant, and
+        # nu = -conj(w_z / h_z) with h_z = 1/2, w_z = 1/(2z) is -1/zbar.
         for z in (0.5, 0.4 + 0.1j, 0.6j):
             assert abs(gauss_map(catenoid, z) + 1.0 / np.conj(z)) < 1e-10
 
@@ -336,25 +336,6 @@ class TestNormalAndGauss:
         assert isinstance(gauss_map(catenoid, 2.0), complex)
         p, h = normal(catenoid, 2.0)
         assert isinstance(p, complex) and isinstance(h, float)
-
-    def test_anchors_are_searched_once_per_surface(self, catenoid, monkeypatch):
-        calls = []
-        search = maxsurf.surface._regular_anchor
-
-        def counted(surface, region=None):
-            calls.append(region)
-            return search(surface, region)
-
-        monkeypatch.setattr(maxsurf.surface, "_regular_anchor", counted)
-        grid = polar_grid(np.geomspace(0.5, 2.0, 8), 16)
-        for _ in range(3):
-            gauss_map(catenoid, grid)
-            normal(catenoid, grid[0])
-            for point in grid[:, 3]:
-                gauss_map(catenoid, point)
-                normal(catenoid, point)
-        assert sorted(map(str, calls)) == sorted(
-            map(str, [None, Region.HOLO_DOMINANT, Region.ANTI_DOMINANT]))
 
     @pytest.mark.parametrize("height_scale", [0.0, 1.0 + 1e-6])
     def test_non_conformal_surface_raises(self, catenoid, height_scale):
@@ -428,6 +409,29 @@ class TestClosedFormBranches:
                     assert self.path_share(fn, anchor, z) < 1e-3, (name, kind, z)
                     flipped.append((name, kind, z))
         assert len(flipped) == 6, flipped  # listed in CHANGES.md
+
+    def test_normal_is_orthogonal_and_the_gauss_map_projects_it(self, branch_surfaces):
+        # X_x = (h_z + h_zbar, 2 Re w_z) and X_y = (i (h_z - h_zbar), -2 Im w_z)
+        # span the tangent plane; <a, b> = Re(a_planar conj(b_planar)) - a_h b_h.
+        rng = np.random.default_rng(707)
+        for name, surface in branch_surfaces:
+            z = annulus_points(rng, 40)
+            hz, hzb, wz = surface.planar.d_z(z), surface.planar.d_zbar(z), surface.height.d_z(z)
+            keep = np.abs(np.abs(hz) - np.abs(hzb)) > 1e-2 * (np.abs(hz) + np.abs(hzb))
+            z, hz, hzb, wz = z[keep], hz[keep], hzb[keep], wz[keep]
+            tangents = [(hz + hzb, 2.0 * wz.real), (1j * (hz - hzb), -2.0 * wz.imag)]
+            size = sum(np.hypot(np.abs(x_p), x_h) for x_p, x_h in tangents)
+            n_p, n_h = normal(surface, z)
+            for x_p, x_h in tangents:
+                defect = (n_p * np.conj(x_p)).real - n_h * x_h
+                assert np.all(np.abs(defect) <= 1e-9 * size), name
+            want = n_p / np.where(np.abs(hzb) < np.abs(hz), 1.0 + n_h, 1.0 - n_h)
+            nu = gauss_map(surface, z)
+            assert np.all(np.abs(nu - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), name
+
+    def test_gauss_map_outside_the_default_grid(self, lobe):
+        # At z = 2.2, anti-dominant: nu = -conj(w_z / h_z) = -c 2.2^6 = -1.1^6.
+        assert abs(gauss_map(lobe, 2.2) + 1.1**6) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 14), st.floats(np.log(0.51), np.log(1.96)),
