@@ -18,6 +18,8 @@ import numpy as np
 
 DEFAULT_TRUNCATION = 64
 
+CIRCLE_SAMPLES = 256  # points on every check circle (Björling checks, margin, build_surface)
+
 # Largest mode index, half sample count, truncation, or grid, angle or scan
 # count read from a file, a config or a flag; it keeps the arrays built from
 # those inputs small.

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import (
-    DEFAULT_TRUNCATION,
-    CircleFunction,
-    HarmonicOnAnnulus,
-    circle_angles,
-    estimate_annulus,
-    fourier_synthesize,
-)
+from .annulus import (CIRCLE_SAMPLES, DEFAULT_TRUNCATION, CircleFunction, HarmonicOnAnnulus,
+                      circle_angles, estimate_annulus, fourier_synthesize)
 from .surface import (
     DegenerateSurfaceError,
     MaximalSurface,
@@ -30,6 +24,7 @@ from .surface import (
 )
 
 CONSTRAINT_TOL = 1e-10
+GAUSS_FLOOR = 1e-12  # boundary_gauss ignores a field below this x the largest magnitude
 
 
 class BjorlingDataError(ValueError):
@@ -90,19 +85,18 @@ class ValidationReport:
         return {**dataclasses.asdict(self), "passed": self.passed}
 
 
-def _boundary_fields(data: BjorlingData, n_samples: int):
-    """Angles, then planar and height tangent and radial field on the circle."""
-    tp, th, rp, rh = (fourier_synthesize(cf, n_samples) for cf in (
+def _boundary_fields(data: BjorlingData):
+    """Angles, then planar and height tangent and radial field, at the
+    CIRCLE_SAMPLES circle angles."""
+    tp, th, rp, rh = (fourier_synthesize(cf, CIRCLE_SAMPLES) for cf in (
         data.curve_planar.derivative(), data.curve_height.derivative(),
         data.radial_planar, data.radial_height))
-    return circle_angles(n_samples), tp, th.real, rp, rh.real
+    return circle_angles(CIRCLE_SAMPLES), tp, th.real, rp, rh.real
 
 
-def validate(
-    data: BjorlingData, n_samples: int = 256, tol: float = CONSTRAINT_TOL
-) -> ValidationReport:
+def validate(data: BjorlingData, tol: float = CONSTRAINT_TOL) -> ValidationReport:
     """Pointwise residuals of nullity, orthogonality, and realness."""
-    _, tp, th, rp, rh = _boundary_fields(data, n_samples)
+    _, tp, th, rp, rh = _boundary_fields(data)
     curve_null = float(np.max(np.abs(np.abs(tp) ** 2 - th**2)))
     radial_null = float(np.max(np.abs(np.abs(rp) ** 2 - rh**2)))
     ortho = float(np.max(np.abs(np.real(tp * np.conj(rp)) - th * rh)))
@@ -142,23 +136,21 @@ class BoundaryGauss:
     max_mismatch: float  # |g from tangent - g from field| where both defined
 
 
-def boundary_gauss(
-    data: BjorlingData, n_samples: int = 256, tol: float = 1e-12
-) -> BoundaryGauss:
+def boundary_gauss(data: BjorlingData) -> BoundaryGauss:
     """Boundary Gauss-map samples sqrt(V / conj(V)) with a continuous branch.
 
     V is the planar part of the radial field where it is nonzero, else the
     planar tangent of the curve.  Where both are usable the two definitions
     must agree; the maximal discrepancy is reported.
     """
-    thetas, tp, _, rp, _ = _boundary_fields(data, n_samples)
+    thetas, tp, _, rp, _ = _boundary_fields(data)
     scale = max(np.max(np.abs(tp)), np.max(np.abs(rp)), 1.0)
-    use_radial = np.abs(rp) > tol * scale
-    use_tangent = np.abs(tp) > tol * scale
+    use_radial = np.abs(rp) > GAUSS_FLOOR * scale
+    use_tangent = np.abs(tp) > GAUSS_FLOOR * scale
     gaps = thetas[~use_radial & ~use_tangent]
 
     def branch_track(v, use):
-        values = np.full(n_samples, np.nan + 0j)
+        values = np.full(CIRCLE_SAMPLES, np.nan + 0j)
         if np.any(use):
             q = v[use] / np.conj(v[use])
             values[use] = _track_signs(q, np.sqrt(q[0]))
@@ -249,12 +241,10 @@ class CircleIdentityReport:
         return dataclasses.asdict(self)
 
 
-def circle_identities_report(
-    surface: MaximalSurface, data: BjorlingData, n_samples: int = 256
-) -> CircleIdentityReport:
-    thetas, tp, th, rp, rh = _boundary_fields(data, n_samples)
-    (hz,), (hzb,) = surface.planar.d_polar([1.0], n_samples)
-    wz = surface.height.d_polar([1.0], n_samples)[0][0]
+def circle_identities_report(surface: MaximalSurface, data: BjorlingData) -> CircleIdentityReport:
+    thetas, tp, th, rp, rh = _boundary_fields(data)
+    (hz,), (hzb,) = surface.planar.d_polar([1.0], CIRCLE_SAMPLES)
+    wz = surface.height.d_polar([1.0], CIRCLE_SAMPLES)[0][0]
     target = rh**2 - th**2 - 2j * rh * th
     phase = np.exp(2j * thetas)
     res_h = np.max(np.abs(4.0 * hz * np.conj(hzb) * phase - target))
@@ -264,16 +254,16 @@ def circle_identities_report(
     return CircleIdentityReport(float(res_h), float(res_w), float(res_s))
 
 
-def boundary_reproduction_errors(
-    surface: MaximalSurface, data: BjorlingData, n_samples: int = 256
-) -> tuple[float, float]:
-    """Sup errors of the surface and its radial derivative on the unit circle."""
+def boundary_reproduction_errors(surface: MaximalSurface,
+                                 data: BjorlingData) -> tuple[float, float]:
+    """Sup errors of the surface and its radial derivative at the CIRCLE_SAMPLES
+    points of the unit circle."""
 
     def error(got, want: CircleFunction) -> float:
-        return float(np.max(np.abs(got[0] - fourier_synthesize(want, n_samples))))
+        return float(np.max(np.abs(got[0] - fourier_synthesize(want, CIRCLE_SAMPLES))))
 
     pairs = ((surface.planar, data.curve_planar, data.radial_planar),
              (surface.height, data.curve_height, data.radial_height))
-    curve_err = max(error(h.eval_polar([1.0], n_samples), curve) for h, curve, _ in pairs)
-    radial_err = max(error(h.radial_polar([1.0], n_samples), radial) for h, _, radial in pairs)
+    curve_err = max(error(h.eval_polar([1.0], CIRCLE_SAMPLES), curve) for h, curve, _ in pairs)
+    radial_err = max(error(h.radial_polar([1.0], CIRCLE_SAMPLES), radial) for h, _, radial in pairs)
     return curve_err, radial_err

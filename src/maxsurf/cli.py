@@ -39,10 +39,10 @@ DEFAULT_CONFIG = {
     "truncation": DEFAULT_TRUNCATION,
     "grid_theta": 64,
     "grid_rho": 16,
-    "residual_tol": 1e-8,
-    "constraint_tol": 1e-10,
-    "bracket": [0.01, 100.0],
-    "scan_points": 512,
+    "residual_tol": interpolation.RESIDUAL_TOL,
+    "constraint_tol": bjorling.CONSTRAINT_TOL,
+    "bracket": list(interpolation.DEFAULT_BRACKET),
+    "scan_points": interpolation.SCAN_POINTS,
 }
 
 
@@ -180,7 +180,7 @@ def cmd_interpolate(args, config) -> int:
             surface = interpolation.build_surface(
                 curve, r0, residual_tol=config["residual_tol"]
             )
-        except interpolation.InterpolationError as exc:
+        except (interpolation.InterpolationError, bjorling.SolverError) as exc:
             print(f"r0 = {r0}: {exc}", file=sys.stderr)
             continue
         path = f"{args.out}.r0_{i}.surface.txt"

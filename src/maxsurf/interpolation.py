@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import (CircleFunction, HarmonicOnAnnulus, circle_angles, estimate_annulus,
-                      fourier_synthesize)
+from .annulus import CIRCLE_SAMPLES, CircleFunction, circle_angles, fourier_synthesize
+from .bjorling import BjorlingData, assemble_harmonics
 from .surface import (
     _BATCH_ENTRIES,
     MaximalSurface,
@@ -66,12 +66,13 @@ def _check_real_height(curve: SpacelikeCurve) -> None:
         raise InterpolationError("height component of the curve is not real")
 
 
-def spacelike_margin(curve: SpacelikeCurve, n_samples: int = 256) -> float:
-    """min over the curve of |planar tangent|^2 - (height tangent)^2; a height
-    that is not real raises InterpolationError (`_check_real_height`)."""
+def spacelike_margin(curve: SpacelikeCurve) -> float:
+    """min over CIRCLE_SAMPLES points of the curve of |planar tangent|^2 -
+    (height tangent)^2; a height that is not real raises InterpolationError
+    (`_check_real_height`)."""
     _check_real_height(curve)
-    dp = fourier_synthesize(curve.planar.derivative(), n_samples)
-    dh = np.real(fourier_synthesize(curve.height.derivative(), n_samples))
+    dp = fourier_synthesize(curve.planar.derivative(), CIRCLE_SAMPLES)
+    dh = np.real(fourier_synthesize(curve.height.derivative(), CIRCLE_SAMPLES))
     return float(np.min(np.abs(dp) ** 2 - dh**2))
 
 
@@ -125,13 +126,18 @@ def modified_coeffs(curve: SpacelikeCurve, r0) -> ModifiedCoefficients:
     )
 
 
+def _radial_spectrum(coeffs: np.ndarray, log_coeff) -> np.ndarray:
+    """Modes -K..K of the radial field on |z| = 1: 2 n coeffs[n + K], and
+    log_coeff at n = 0; per leading index."""
+    n = np.arange(-(coeffs.shape[-1] // 2), coeffs.shape[-1] // 2 + 1)
+    return np.where(n != 0, 2.0 * n * coeffs, np.asarray(log_coeff)[..., None])
+
+
 def _radial_nodes(coeffs: np.ndarray, log_coeff, M: int) -> np.ndarray:
-    """sum 2 n coeffs[n + K] e^{i n theta} + log_coeff on M > 2K nodes, per leading index."""
+    """`_radial_spectrum` on M > 2K nodes, per leading index."""
     K = coeffs.shape[-1] // 2
-    n = np.arange(-K, K + 1)
     spectrum = np.zeros(np.shape(log_coeff) + (M,), dtype=complex)
-    spectrum[..., n % M] = 2.0 * n * coeffs
-    spectrum[..., 0] += log_coeff
+    spectrum[..., np.arange(-K, K + 1) % M] = _radial_spectrum(coeffs, log_coeff)
     return np.fft.ifft(spectrum, norm="forward")
 
 
@@ -229,22 +235,15 @@ def search_r0(
 
 
 def surface_from_modified(mc: ModifiedCoefficients) -> MaximalSurface:
-    """Assemble the (z^n - 1/zbar^n) + log surface from modified coefficients."""
-
-    def build(coeffs: np.ndarray, log_coeff: complex) -> HarmonicOnAnnulus:
-        a = coeffs.copy()
-        b = -coeffs.copy()
-        b[mc.truncation] = 0.0
-        inner, outer = estimate_annulus(a, b)
-        if not (inner < 1.0 < outer):
-            raise InterpolationError(
-                "coefficient decay excludes the unit circle from the annulus"
-            )
-        return HarmonicOnAnnulus(a, b, complex(log_coeff), inner, outer)
-
-    return MaximalSurface(
-        build(mc.planar, mc.log_planar), build(mc.height, mc.log_height)
-    )
+    """The singular Björling solution whose curve is the origin and whose radial
+    field on |z| = 1 is `_radial_spectrum`, the field whose nullity the search
+    measures: the (z^n - 1/zbar^n) + log surface of the modified coefficients.
+    An annulus that excludes |z| = 1 raises `bjorling.SolverError`."""
+    origin = CircleFunction(np.zeros(2 * mc.truncation + 1))
+    planar, height = (CircleFunction(_radial_spectrum(c, log)) for c, log in
+                      ((mc.planar, mc.log_planar), (mc.height, mc.log_height)))
+    return MaximalSurface(*assemble_harmonics(BjorlingData(origin, origin, planar, height),
+                                              mc.truncation))
 
 
 @dataclass(frozen=True)
@@ -260,9 +259,11 @@ def build_surface(
     """The maximal surface through the curve at radius r0, fully verified;
     its ``residual`` is `scalar_residual` at r0.
 
-    Raises when the nullity residual at r0 is too large, the curve is not
-    strictly spacelike, or any postcondition (unit circle collapsing to the
-    origin, curve reproduction at r0, conformality, non-degeneracy) fails.
+    Raises InterpolationError when the nullity residual at r0 is too large,
+    the curve is not strictly spacelike, or any postcondition (unit circle
+    collapsing to the origin, curve reproduction at r0, conformality,
+    non-degeneracy) fails, and `bjorling.SolverError` when the coefficients'
+    annulus excludes |z| = 1 (`surface_from_modified`).
     """
     margin = spacelike_margin(curve)
     if margin <= SPACELIKE_MARGIN:
@@ -278,7 +279,7 @@ def build_surface(
     built = surface_from_modified(modified_coeffs(curve, r0))
     surface = _CheckedSurface(built.planar, built.height, residual)
 
-    thetas = circle_angles(256)
+    thetas = circle_angles(CIRCLE_SAMPLES)
     circle = np.exp(1j * thetas)
     origin_spread = max(
         float(np.max(np.abs(surface.planar.eval(circle)))),

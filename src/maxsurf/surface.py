@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annulus import COEFF_FLOOR, DomainError, HarmonicOnAnnulus, circle_angles, polar_grid
+from .annulus import (CIRCLE_SAMPLES, COEFF_FLOOR, DomainError, HarmonicOnAnnulus, circle_angles,
+                      polar_grid)
 
 SINGULAR_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
@@ -30,7 +31,6 @@ RING_LIMIT = 1 << 16
 CONFORMAL_TOL = 1e-6
 
 SPECIAL_TOL = 1e-8  # special_singularity_check's bound on spread and metric
-SPECIAL_SAMPLES = 256  # points on special_singularity_check's circle
 
 # Radii used for default grids on sentinel (0, inf) domains.
 FALLBACK_INNER = 0.5
@@ -112,10 +112,17 @@ def metric_factor(surface: MaximalSurface, z):
 _REGIONS = np.array([Region.ANTI_DOMINANT, Region.SINGULAR, Region.HOLO_DOMINANT])
 
 
+def _regular(gap, ahz, ahzb, tol: float = SINGULAR_TOL) -> np.ndarray:
+    """The one singular test, relative to the derivatives' size: True where
+    |gap| = | |h_z| - |h_zbar| | exceeds tol (1 + |h_z| + |h_zbar|)."""
+    return np.abs(gap) > tol * (1.0 + ahz + ahzb)
+
+
 def _sides(hz, hzb, tol: float) -> np.ndarray:
-    """1 where |hzb| < |hz| - tol, -1 where |hzb| > |hz| + tol, else 0."""
+    """1 where |hzb| < |hz|, -1 where |hzb| > |hz|, at `_regular` points; else 0."""
     ahz, ahzb = np.abs(hz), np.abs(hzb)
-    return (ahzb < ahz - tol).astype(int) - (ahzb > ahz + tol)
+    gap = ahz - ahzb
+    return np.where(_regular(gap, ahz, ahzb, tol), np.sign(gap), 0.0).astype(int)
 
 
 def _planar_derivatives(surface: MaximalSurface, z):
@@ -361,9 +368,9 @@ def normal(surface: MaximalSurface, z):
     exactly.  This sign makes N Minkowski-orthogonal to the tangents
     X_x = (h_z + h_zbar, 2 Re w_z) and X_y = (i (h_z - h_zbar), -2 Im w_z).
 
-    z may be a point or an array.  A singular point (within SINGULAR_TOL)
-    raises SingularPointError; in an array, singular points give NaN.  A
-    point where the surface is not conformal (see `_guided_root`) raises
+    z may be a point or an array.  A singular point (`_regular`) raises
+    SingularPointError; in an array, singular points give NaN.  A point
+    where the surface is not conformal (see `_guided_root`) raises
     BranchPointError.
     """
     zz = np.asarray(z, dtype=complex)
@@ -371,7 +378,7 @@ def normal(surface: MaximalSurface, z):
     hz, hzb = surface.planar.d_z(flat), surface.planar.d_zbar(flat)
     ahz, ahzb = np.abs(hz), np.abs(hzb)
     denom = ahzb - ahz
-    ok = np.abs(denom) > SINGULAR_TOL * (1.0 + ahz + ahzb)
+    ok = _regular(denom, ahz, ahzb)
     if zz.ndim == 0 and not ok[0]:
         raise SingularPointError(f"{complex(zz)} is a singular point")
     root = _guided_root(surface, flat[ok], hz[ok], hzb[ok], None)
@@ -399,9 +406,9 @@ def gauss_map(surface: MaximalSurface, z):
     of the ratio on the branch of `_guided_root`, negated on anti points.
 
     Returns POINT_AT_INFINITY where the denominator derivative vanishes.  z
-    may be a point or an array.  A singular point (within SINGULAR_TOL)
-    raises SingularPointError; in an array, singular points give NaN.  A
-    point where the surface is not conformal (see `_guided_root`) raises
+    may be a point or an array.  A singular point (`_regular`) raises
+    SingularPointError; in an array, singular points give NaN.  A point
+    where the surface is not conformal (see `_guided_root`) raises
     BranchPointError.
     """
     zz = np.asarray(z, dtype=complex)
@@ -509,8 +516,8 @@ def w_from_h(planar: HarmonicOnAnnulus, z0: complex, w0: float, targets, via=Non
 
 def special_singularity_check(surface: MaximalSurface, radius: float) -> bool:
     """True iff the circle |z| = radius maps to a single point and is singular,
-    both within SPECIAL_TOL on SPECIAL_SAMPLES points."""
-    circle = radius * np.exp(1j * circle_angles(SPECIAL_SAMPLES))
+    both within SPECIAL_TOL on CIRCLE_SAMPLES points."""
+    circle = radius * np.exp(1j * circle_angles(CIRCLE_SAMPLES))
     p = surface.planar.eval(circle)
     w = np.real(surface.height.eval(circle))
     spread = max(

@@ -1,5 +1,7 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/, and
+every function that perfbench/spans.py traces exists in it."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -20,3 +22,18 @@ def test_demo_exits_zero(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_traced_target_resolves():
+    # spans.py is read and executed here, never imported: no cache file is written.
+    path = ROOT / "perfbench" / "spans.py"
+    spans = {"__name__": "spans"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans)
+    missing = []
+    for module, attr, _, _ in spans["TARGETS"]:
+        owner = importlib.import_module(f"maxsurf.{module}")
+        for name in attr.split("."):
+            owner = getattr(owner, name, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert not missing

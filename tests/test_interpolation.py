@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxsurf.annulus import CircleFunction
+from maxsurf.bjorling import BjorlingData, solve, validate
 from maxsurf.interpolation import (
     InterpolationError,
     ModifiedCoefficients,
@@ -347,6 +348,38 @@ class TestBuildSurface:
         assert np.max(np.abs(surface.height.eval(circle) - point[1])) < 1e-10
         ring = 0.5 * circle
         assert np.max(np.abs(surface.planar.eval(ring) - moved_curve.planar.sample(th))) < 1e-10
+
+
+class TestProofStructure:
+    """The point-singularity surface is the singular Björling solution of its
+    own data on |z| = 1: the curve g_n = a_n + b_n (the singular point) and the
+    null radial field l_n = n (a_n - b_n), with the log coefficient at n = 0."""
+
+    @staticmethod
+    def read_back(surface):
+        def data(h):
+            n = np.arange(-h.truncation, h.truncation + 1)
+            radial = n * (h.holo - h.antiholo)
+            radial[h.truncation] = h.log_coeff
+            return CircleFunction(h.holo + h.antiholo), CircleFunction(radial)
+
+        (curve_p, radial_p), (curve_h, radial_h) = data(surface.planar), data(surface.height)
+        return BjorlingData(curve_p, curve_h, radial_p, radial_h)
+
+    @pytest.mark.parametrize("c", [0.3, 0.6, 1.5, 2.0, 3.0, "catenoid"])
+    def test_bjorling_solve_returns_the_surface(self, c, catenoid_curve):
+        curve = catenoid_curve if c == "catenoid" else family_curve(c)
+        roots = search_r0(curve)
+        assert len(roots) == 2
+        for r0 in roots:
+            surface = build_surface(curve, r0)
+            data = self.read_back(surface)
+            assert validate(data).passed
+            solved = solve(data, truncation=surface.planar.truncation)
+            for got, want in ((solved.planar, surface.planar), (solved.height, surface.height)):
+                for x, y in ((got.holo, want.holo), (got.antiholo, want.antiholo),
+                             (got.log_coeff, want.log_coeff)):
+                    assert np.all(np.abs(x - y) <= 4.0 * np.finfo(float).eps * np.abs(y)), (c, r0)
 
 
 class TestFamilyCurve:

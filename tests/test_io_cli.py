@@ -781,6 +781,29 @@ class TestCli:
         report = json.loads((tmp_path / "fixed.report.json").read_text())
         assert report["roots"] == [2.0]
 
+    def test_interpolate_rejects_an_annulus_per_root(self, catenoid_curve_spec, tmp_path,
+                                                     capsys, monkeypatch):
+        # The first root's coefficient solve fails; the second root still builds.
+        from maxsurf import bjorling, interpolation
+
+        assemble, calls = interpolation.assemble_harmonics, []
+
+        def fail_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise bjorling.SolverError("estimated annulus excludes the unit circle")
+            return assemble(*args)
+
+        monkeypatch.setattr(interpolation, "assemble_harmonics", fail_first)
+        assert cli.main(["interpolate", "--spec", catenoid_curve_spec, "--out",
+                         str(tmp_path / "ring"), "--bracket", "0.05", "20"]) == 0
+        rejected = capsys.readouterr().err.partition(": ")
+        assert rejected[0].startswith("r0 = ") and float(rejected[0][5:]) == pytest.approx(0.5)
+        assert rejected[2] == "estimated annulus excludes the unit circle\n"
+        report = json.loads((tmp_path / "ring.report.json").read_text())
+        assert report["roots"] == [pytest.approx(2.0, abs=1e-6)]
+        assert report["surfaces"][0]["surface_file"] == "ring.r0_1.surface.txt"
+
     @pytest.mark.parametrize("r0", ["nan", "inf", "-1"])
     def test_interpolate_rejects_a_bad_explicit_radius(self, catenoid_curve_spec, tmp_path,
                                                        capsys, r0):

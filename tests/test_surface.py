@@ -59,6 +59,23 @@ class TestPointwiseQuantities:
         assert classify_point(catenoid, 0.5j) is Region.ANTI_DOMINANT
         assert classify_point(catenoid, np.exp(0.7j)) is Region.SINGULAR
 
+    def test_one_singular_test_for_all_three(self):
+        # h = 50 (z - 1/zbar), w = 100 ln|z|: at z = 1 + d, |h_z| - |h_zbar| is
+        # about 100 d, inside SINGULAR_TOL (1 + |h_z| + |h_zbar|) for d <= 1e-9.
+        surface = MaximalSurface(HarmonicOnAnnulus.from_modes(holo={1: 50.0}, antiholo={1: -50.0}),
+                                 HarmonicOnAnnulus.from_modes(log_coeff=100.0))
+        z = 1.0 + np.logspace(-11, -9, 4)
+        assert all(region is Region.SINGULAR for region in classify_point(surface, z))
+        assert np.all(np.isnan(gauss_map(surface, z))) and np.all(np.isnan(normal(surface, z)[1]))
+        for point in z:
+            for fn in (gauss_map, normal):
+                with pytest.raises(SingularPointError):
+                    fn(surface, point)
+        outside = np.array([1.0 + 3e-9])
+        assert classify_point(surface, outside)[0] is Region.HOLO_DOMINANT
+        assert np.isfinite(gauss_map(surface, outside)[0])
+        assert np.isfinite(normal(surface, outside)[1][0])
+
     def test_evaluate_returns_complex_and_real(self, catenoid):
         p, w = evaluate(catenoid, 2.0)
         assert p == pytest.approx(0.75)
