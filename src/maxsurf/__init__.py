@@ -10,7 +10,6 @@ from .annulus import (
     DomainError,
     HarmonicOnAnnulus,
     estimate_annulus,
-    fourier_analyze,
     fourier_synthesize,
 )
 from .bjorling import (
@@ -18,7 +17,6 @@ from .bjorling import (
     BjorlingDataError,
     SolverError,
     assemble_harmonics,
-    boundary_gauss,
     circle_identities_report,
     solve,
     validate,

@@ -79,12 +79,10 @@ class CircleFunction:
     """A periodic function of the angle, held as Fourier coefficients.
 
     ``coeffs[k]`` is the coefficient of exp(i*n*theta) with n = k - K and
-    K = (len(coeffs) - 1) // 2.  ``radius`` records which circle the samples
-    came from; it is metadata only.
+    K = (len(coeffs) - 1) // 2.
     """
 
     coeffs: np.ndarray
-    radius: float = 1.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -97,14 +95,14 @@ class CircleFunction:
         return (len(self.coeffs) - 1) // 2
 
     @classmethod
-    def from_samples(cls, samples, radius: float = 1.0) -> "CircleFunction":
+    def from_samples(cls, samples) -> "CircleFunction":
         """Fourier-analyze M equispaced samples; M must be a power of two."""
         s = np.asarray(samples, dtype=complex)
         m = len(s)
         if not _is_power_of_two(m):
             raise ValueError(f"sample count {m} is not a power of two")
         if m == 1:  # a constant; the Nyquist split below needs m >= 2
-            return cls(s, radius)
+            return cls(s)
         t = np.fft.fft(s) / m
         half = m // 2
         coeffs = np.zeros(m + 1, dtype=complex)  # modes -half .. half
@@ -114,10 +112,10 @@ class CircleFunction:
         # Modes -half and half alias on the nodes; an even split keeps real
         # samples real and the interpolant accurate between the nodes.
         coeffs[0] = coeffs[m] = 0.5 * t[half]
-        return cls(coeffs, radius)
+        return cls(coeffs)
 
     @classmethod
-    def from_dict(cls, modes: dict, radius: float = 1.0) -> "CircleFunction":
+    def from_dict(cls, modes: dict) -> "CircleFunction":
         if modes:
             kmax = max(abs(int(n)) for n in modes)
         else:
@@ -125,7 +123,7 @@ class CircleFunction:
         coeffs = np.zeros(2 * kmax + 1, dtype=complex)
         for n, v in modes.items():
             coeffs[int(n) + kmax] = v
-        return cls(coeffs, radius)
+        return cls(coeffs)
 
     def coeff(self, n: int) -> complex:
         if abs(n) > self.max_mode:
@@ -143,7 +141,7 @@ class CircleFunction:
 
     def derivative(self) -> "CircleFunction":
         n = np.arange(-self.max_mode, self.max_mode + 1)
-        return CircleFunction(self.coeffs * (1j * n), self.radius)
+        return CircleFunction(self.coeffs * (1j * n))
 
     def realness_error(self) -> float:
         """Max |t_{-n} - conj(t_n)|; zero iff the function is real-valued."""
@@ -162,14 +160,7 @@ class CircleFunction:
 
     def __add__(self, other: "CircleFunction") -> "CircleFunction":
         kmax = max(self.max_mode, other.max_mode)
-        return CircleFunction(
-            self.coeff_array(kmax) + other.coeff_array(kmax), self.radius
-        )
-
-
-def fourier_analyze(samples, radius: float = 1.0) -> CircleFunction:
-    """Coefficients t_n with sum t_n e^{i n theta} interpolating the samples."""
-    return CircleFunction.from_samples(samples, radius)
+        return CircleFunction(self.coeff_array(kmax) + other.coeff_array(kmax))
 
 
 def fourier_synthesize(cf: CircleFunction, count: int) -> np.ndarray:
@@ -261,15 +252,11 @@ class HarmonicOnAnnulus:
         antiholo: dict | None = None,
         log_coeff: complex = 0j,
         annulus: tuple[float, float] | None = None,
-        truncation: int | None = None,
     ) -> "HarmonicOnAnnulus":
         """Build from sparse mode dictionaries; annulus estimated if absent."""
         holo = holo or {}
         antiholo = antiholo or {}
-        n = truncation
-        if n is None:
-            present = [abs(int(k)) for k in (*holo, *antiholo)] or [0]
-            n = max(max(present), 1)
+        n = max([abs(int(k)) for k in (*holo, *antiholo)] + [1])
         a = np.zeros(2 * n + 1, dtype=complex)
         b = np.zeros(2 * n + 1, dtype=complex)
         for k, v in holo.items():
@@ -359,16 +346,6 @@ class HarmonicOnAnnulus:
         zbp = np.power(zb[..., None], -self._modes - 1)
         out = zbp @ (-self._modes * self.antiholo) + self.log_coeff / (2.0 * zb)
         return self._finish(out, scalar)
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other: "HarmonicOnAnnulus") -> "HarmonicOnAnnulus":
-        n = max(self.truncation, other.truncation)
-        a = _centered(self.holo, n) + _centered(other.holo, n)
-        b = _centered(self.antiholo, n) + _centered(other.antiholo, n)
-        c = self.log_coeff + other.log_coeff
-        inner, outer = estimate_annulus(a, b)
-        return HarmonicOnAnnulus(a, b, c, inner, outer)
 
     def shifted(self, offset: complex) -> "HarmonicOnAnnulus":
         a = self.holo.copy()

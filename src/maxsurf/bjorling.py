@@ -16,15 +16,9 @@ import numpy as np
 
 from .annulus import (CIRCLE_SAMPLES, DEFAULT_TRUNCATION, CircleFunction, HarmonicOnAnnulus,
                       circle_angles, estimate_annulus, fourier_synthesize)
-from .surface import (
-    DegenerateSurfaceError,
-    MaximalSurface,
-    _track_signs,
-    is_degenerate,
-)
+from .surface import DegenerateSurfaceError, MaximalSurface, is_degenerate
 
 CONSTRAINT_TOL = 1e-10
-GAUSS_FLOOR = 1e-12  # boundary_gauss ignores a field below this x the largest magnitude
 
 
 class BjorlingDataError(ValueError):
@@ -124,53 +118,6 @@ def validate(data: BjorlingData, tol: float = CONSTRAINT_TOL) -> ValidationRepor
         max_tail=float(max(tails)),
         tolerance=tol,
     )
-
-
-@dataclass(frozen=True)
-class BoundaryGauss:
-    """Boundary values of the stereographic normal, with diagnostics."""
-
-    values: np.ndarray  # complex samples; NaN where undefined
-    thetas: np.ndarray
-    gaps: np.ndarray  # angles where both the tangent and the field vanish
-    max_mismatch: float  # |g from tangent - g from field| where both defined
-
-
-def boundary_gauss(data: BjorlingData) -> BoundaryGauss:
-    """Boundary Gauss-map samples sqrt(V / conj(V)) with a continuous branch.
-
-    V is the planar part of the radial field where it is nonzero, else the
-    planar tangent of the curve.  Where both are usable the two definitions
-    must agree; the maximal discrepancy is reported.
-    """
-    thetas, tp, _, rp, _ = _boundary_fields(data)
-    scale = max(np.max(np.abs(tp)), np.max(np.abs(rp)), 1.0)
-    use_radial = np.abs(rp) > GAUSS_FLOOR * scale
-    use_tangent = np.abs(tp) > GAUSS_FLOOR * scale
-    gaps = thetas[~use_radial & ~use_tangent]
-
-    def branch_track(v, use):
-        values = np.full(CIRCLE_SAMPLES, np.nan + 0j)
-        if np.any(use):
-            q = v[use] / np.conj(v[use])
-            values[use] = _track_signs(q, np.sqrt(q[0]))
-        return values
-
-    g_radial = branch_track(rp, use_radial)
-    g_tangent = branch_track(tp, use_tangent)
-    both = use_radial & use_tangent
-    if np.any(both):
-        # The two square roots are branch-independent only up to sign; compare
-        # the sign-insensitive squares and the aligned values.
-        diff = np.minimum(
-            np.abs(g_radial[both] - g_tangent[both]),
-            np.abs(g_radial[both] + g_tangent[both]),
-        )
-        mismatch = float(np.max(diff))
-    else:
-        mismatch = 0.0
-    values = np.where(use_radial, g_radial, g_tangent)
-    return BoundaryGauss(values, thetas, gaps, mismatch)
 
 
 def assemble_harmonics(

@@ -46,24 +46,19 @@ DEFAULT_CONFIG = {
 }
 
 
-def _number(value) -> bool:
-    """A finite JSON number; a bool is not one, and a huge int is not finite."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _count(least: int):
     return (lambda value: type(value) is int and least <= value <= MAX_MODE,
             f"an integer in [{least}, {MAX_MODE}]")
 
 
-_TOL = (lambda value: _number(value) and value > 0.0), "a positive number"
+_TOL = (lambda value: fileio.finite_number(value) and value > 0.0), "a positive number"
 CONFIG_TYPES = {  # each key's test, and what the error says its value must be
     "truncation": (lambda value: type(value) is int and 1 <= value <= MAX_MODE,
                    f"an integer in [1, {MAX_MODE}]"),
     "grid_theta": _count(1), "grid_rho": _count(1),
     "scan_points": _count(2), "residual_tol": _TOL, "constraint_tol": _TOL,
     "bracket": (lambda value: type(value) is list and len(value) == 2
-                and all(map(_number, value)), "two numbers"),
+                and all(map(fileio.finite_number, value)), "two numbers"),
 }
 
 
@@ -110,6 +105,7 @@ def cmd_validate(args, config) -> int:
             "label": spec.label,
             "validation": {"spacelike_margin": margin, "passed": ok},
         }
+    fileio.check_report(payload)  # before the file and stdout
     if args.out:
         fileio.write_report(args.out + ".report.json", payload)
     print(json.dumps(payload["validation"], sort_keys=True))

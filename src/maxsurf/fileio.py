@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,11 @@ COEFF_MAGIC = "maxsurf-coefficients 1"
 
 class SpecParseError(ValueError):
     """The input file is not a well-formed curve specification."""
+
+
+def finite_number(value) -> bool:
+    """A finite JSON number; a bool is not one, and a huge int is not finite."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def format_rows(row: str, *columns) -> str:
@@ -357,16 +364,13 @@ def load_curve_spec(path: str) -> CurveSpec:
             raise SpecParseError(f"missing component {name!r}")
         components[name] = _component_from_spec(raw[name], name)
     expected = raw.get("expected_r0")
-    if expected is not None:
-        try:
-            expected = float(expected)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SpecParseError(f"bad expected_r0: {exc}") from exc
+    if expected is not None and not (finite_number(expected) and expected > 0):
+        raise SpecParseError("expected_r0 must be a finite positive number")
     return CurveSpec(
         kind=kind,
         label=str(raw.get("label", "")),
         components=components,
-        expected_r0=expected,
+        expected_r0=None if expected is None else float(expected),
     )
 
 
@@ -446,7 +450,29 @@ def load_surface(path: str) -> MaximalSurface:
 # -- reports ----------------------------------------------------------------
 
 
+def _fields(value, name: str = ""):
+    """(dotted name, value) of every leaf of a report payload."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _fields(item, f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _fields(item, f"{name}[{i}]")
+    else:
+        yield name, value
+
+
+def check_report(payload: dict):
+    """Raise ValueError naming the first field of a report that is a float
+    but not finite: JSON has no NaN or Infinity."""
+    for name, value in _fields(payload):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"report field {name} is {value}, not a finite number")
+
+
 def write_report(path: str, payload: dict):
+    """The payload as JSON, after `check_report`: no file for a non-finite value."""
+    check_report(payload)
     body = {"tool_version": TOOL_VERSION, **payload}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)

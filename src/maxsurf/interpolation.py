@@ -53,10 +53,7 @@ class SpacelikeCurve:
         p[self.planar.max_mode] -= planar_shift
         h = self.height.coeffs.copy()
         h[self.height.max_mode] -= height_shift
-        return SpacelikeCurve(
-            CircleFunction(p, self.planar.radius),
-            CircleFunction(h, self.height.radius),
-        )
+        return SpacelikeCurve(CircleFunction(p), CircleFunction(h))
 
 
 def _check_real_height(curve: SpacelikeCurve) -> None:

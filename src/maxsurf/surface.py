@@ -330,14 +330,14 @@ def singular_set(surface: MaximalSurface, thetas,
 # -- normal and Gauss map ---------------------------------------------------
 
 
-def _guided_root(surface: MaximalSurface, z, hz, hzb, region: Region | None):
-    """The normal's (region None) or the Gauss map's square root at the points
-    z of that region, on the branch of the guide h_z conj(w_z).
+def _guided_root(surface: MaximalSurface, z, hz, hzb):
+    """The square root s of h_z h_zbar at the points z on the branch of the
+    guide h_z conj(w_z).
 
     By w_z^2 = h_z conj(h_zbar), the guide's square is a positive multiple of
-    each root's argument, so w_z picks the branch: the principal root, negated
-    where it points away from the guide.  Raises BranchPointError where the
-    relation misses by more than CONFORMAL_TOL relative to |h_z||h_zbar|.
+    h_z h_zbar, so w_z picks the branch: the principal root, negated where it
+    points away from the guide.  Raises BranchPointError where the relation
+    misses by more than CONFORMAL_TOL relative to |h_z||h_zbar|.
     """
     wz = surface.height.d_z(z)
     bad = np.abs(wz**2 - hz * np.conj(hzb)) > CONFORMAL_TOL * np.abs(hz) * np.abs(hzb)
@@ -346,12 +346,7 @@ def _guided_root(surface: MaximalSurface, z, hz, hzb, region: Region | None):
             f"w_z^2 differs from h_z conj(h_zbar) at {complex(z[bad][0])}: "
             "the surface is not conformal there"
         )
-    if region is None:
-        root = np.sqrt(hz * hzb)
-    elif region is Region.HOLO_DOMINANT:
-        root = np.sqrt(hz / np.conj(hzb))
-    else:
-        root = np.sqrt(hzb / np.conj(hz))
+    root = np.sqrt(hz * hzb)
     # root * conj(guide) = root * conj(h_z) * w_z
     return root * np.where((root * np.conj(hz) * wz).real < 0.0, -1.0, 1.0)
 
@@ -381,7 +376,7 @@ def normal(surface: MaximalSurface, z):
     ok = _regular(denom, ahz, ahzb)
     if zz.ndim == 0 and not ok[0]:
         raise SingularPointError(f"{complex(zz)} is a singular point")
-    root = _guided_root(surface, flat[ok], hz[ok], hzb[ok], None)
+    root = _guided_root(surface, flat[ok], hz[ok], hzb[ok])
     # The magnitude is known in closed form, which keeps the Minkowski norm
     # exact even near the singular set.
     size = np.abs(root)
@@ -398,18 +393,17 @@ def normal(surface: MaximalSurface, z):
 def gauss_map(surface: MaximalSurface, z):
     """Stereographically projected normal at regular points.
 
-    nu^2 is h_z / conj(h_zbar) where |h_zbar| < |h_z| (holo-dominant) and
-    h_zbar / conj(h_z) where |h_zbar| > |h_z| (anti-dominant).  The sign is
-    the one of `normal`: nu = h_z / w_z on holo points and -conj(w_z / h_z)
-    on anti points, so that nu = N_planar / (1 + N_height) and
-    N_planar / (1 - N_height) there.  It is computed as the principal root
-    of the ratio on the branch of `_guided_root`, negated on anti points.
+    With s the normal's root (`_guided_root`), nu = s / |h_zbar| where
+    |h_zbar| < |h_z| (holo-dominant) and -s / |h_z| where |h_zbar| > |h_z|
+    (anti-dominant): nu^2 is h_z / conj(h_zbar) and h_zbar / conj(h_z) there,
+    nu = h_z / w_z and -conj(w_z / h_z), and nu = N_planar / (1 + N_height)
+    and N_planar / (1 - N_height).
 
-    Returns POINT_AT_INFINITY where the denominator derivative vanishes.  z
-    may be a point or an array.  A singular point (`_regular`) raises
-    SingularPointError; in an array, singular points give NaN.  A point
-    where the surface is not conformal (see `_guided_root`) raises
-    BranchPointError.
+    Returns POINT_AT_INFINITY where the smaller derivative magnitude is below
+    BRANCH_FLOOR (1 + the larger).  z may be a point or an array.  A singular
+    point (`_regular`) raises SingularPointError; in an array, singular
+    points give NaN.  A point where the surface is not conformal (see
+    `_guided_root`) raises BranchPointError.
     """
     zz = np.asarray(z, dtype=complex)
     flat = zz.ravel()
@@ -417,15 +411,13 @@ def gauss_map(surface: MaximalSurface, z):
     side = _sides(hz, hzb, SINGULAR_TOL)
     if zz.ndim == 0 and side[0] == 0:
         raise SingularPointError(f"{complex(zz)} is a singular point")
-    num = np.where(side < 0, hzb, hz)
-    den = np.conj(np.where(side < 0, hz, hzb))
-    finite = np.abs(den) >= BRANCH_FLOOR * (1.0 + np.abs(num))
+    ahz, ahzb = np.abs(hz), np.abs(hzb)
+    small, large = np.where(side < 0, ahz, ahzb), np.where(side < 0, ahzb, ahz)
     nu = np.where(side == 0, complex(np.nan, np.nan), POINT_AT_INFINITY)
-    holo, anti = (side > 0) & finite, (side < 0) & finite
-    if np.any(holo):
-        nu[holo] = _guided_root(surface, flat[holo], hz[holo], hzb[holo], Region.HOLO_DOMINANT)
-    if np.any(anti):
-        nu[anti] = -_guided_root(surface, flat[anti], hz[anti], hzb[anti], Region.ANTI_DOMINANT)
+    ok = (side != 0) & (small >= BRANCH_FLOOR * (1.0 + large))
+    if np.any(ok):
+        root = _guided_root(surface, flat[ok], hz[ok], hzb[ok])
+        nu[ok] = np.where(side[ok] > 0, root, -root) / small[ok]
     return complex(nu[0]) if zz.ndim == 0 else nu.reshape(zz.shape)
 
 

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from maxsurf import bjorling
 from maxsurf.annulus import CircleFunction, circle_angles
 from maxsurf.bjorling import (
     BjorlingData,
     BjorlingDataError,
     SolverError,
     assemble_harmonics,
-    boundary_gauss,
     boundary_reproduction_errors,
     circle_identities_report,
     solve,
@@ -18,7 +16,7 @@ from maxsurf.bjorling import (
 )
 from maxsurf.surface import DegenerateSurfaceError, MaximalSurface
 
-from conftest import loop_track_signs, random_valid_data
+from conftest import random_valid_data
 
 
 class TestValidate:
@@ -182,30 +180,3 @@ class TestCircleIdentities:
         assert report.planar_conformality > 1e-5
         assert report.planar_conformality < 1.0
 
-
-class TestBoundaryGauss:
-    def test_catenoid_boundary_values(self, catenoid_data):
-        bg = boundary_gauss(catenoid_data)
-        # sqrt(e^{i theta} / e^{-i theta}) = +/- e^{i theta}, continuously.
-        expected = np.exp(1j * bg.thetas)
-        err = min(
-            np.max(np.abs(bg.values - expected)),
-            np.max(np.abs(bg.values + expected)),
-        )
-        assert err < 1e-12
-        assert len(bg.gaps) == 0
-        assert bg.max_mismatch < 1e-12
-
-    def test_mismatch_zero_when_only_one_source(self):
-        rng = np.random.default_rng(13)
-        data = random_valid_data(rng)
-        assert boundary_gauss(data).max_mismatch == 0.0
-
-    def test_matches_the_loop_tracker_bit_for_bit(self, monkeypatch):
-        cases = [random_valid_data(np.random.default_rng(seed)) for seed in range(50)]
-        fast = [boundary_gauss(data) for data in cases]
-        monkeypatch.setattr(bjorling, "_track_signs", loop_track_signs)
-        for got, data in zip(fast, cases):
-            want = boundary_gauss(data)
-            assert got.values.tobytes() == want.values.tobytes()
-            assert got.max_mismatch == want.max_mismatch

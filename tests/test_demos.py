@@ -1,6 +1,8 @@
-"""Every script in demos/ runs to completion against the package in src/, and
-every function that perfbench/spans.py traces exists in it."""
+"""Every script in demos/ runs to completion against the package in src/,
+every function that perfbench/spans.py traces exists in it, and no module of
+it imports a name that it never uses."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -37,3 +39,20 @@ def test_every_traced_target_resolves():
         if owner is None:
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted((ROOT / "src" / "maxsurf").glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):  # "import a.b" binds a
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused

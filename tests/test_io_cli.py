@@ -615,6 +615,14 @@ class TestCli:
                          id="sample-beyond-float"),
             pytest.param("spec", {"expected_r0": 10**400}, "expected_r0",
                          id="expected-r0-beyond-float"),
+            pytest.param("spec", {"expected_r0": float("nan")}, "expected_r0",
+                         id="expected-r0-nan"),
+            pytest.param("spec", {"expected_r0": float("inf")}, "expected_r0",
+                         id="expected-r0-infinity"),
+            pytest.param("spec", {"expected_r0": True}, "expected_r0", id="expected-r0-bool"),
+            pytest.param("spec", {"expected_r0": "2.5"}, "expected_r0",
+                         id="expected-r0-string"),
+            pytest.param("spec", {"expected_r0": -3}, "expected_r0", id="expected-r0-negative"),
             pytest.param("surface", b"\xff\xfe", "bad.surface.txt", id="surface-not-utf8"),
             pytest.param("spec", b"\xff\xfe", "c.json", id="spec-not-utf8"),
             pytest.param("surface", "planar 1 0.25 0 -0.5 0", "bad.surface.txt:5",
@@ -679,6 +687,27 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["overflow.surface.txt"]
+
+    @pytest.mark.parametrize("command, spec, field", [
+        ("validate", {"kind": "curve", "planar": {"fourier": [[1, 1e200, 0.0]]},
+                      "height": {"fourier": [[0, 1.0, 0.0]]}}, "validation.spacelike_margin"),
+        ("interpolate", {"kind": "curve", "planar": {"fourier": [[1, 1e200, 0.0]]},
+                         "height": {"fourier": [[0, 1.0, 0.0]]}}, "spacelike_margin"),
+        ("validate", {"kind": "bjorling", "curve_planar": {"fourier": [[1, 1e200, 0.0]]},
+                      "curve_height": {"fourier": [[1, 1e200, 0.0], [-1, 1e200, 0.0]]},
+                      "radial_planar": {"fourier": [[1, 1e200, 0.0]]},
+                      "radial_height": {"fourier": [[0, 1e200, 0.0]]}}, "validation.curve_nullity"),
+    ], ids=["curve-validate", "curve-interpolate", "bjorling-validate"])
+    def test_non_finite_report_values_exit_2(self, tmp_path, capsys, command, spec, field):
+        # The values overflow to inf, or to inf - inf = nan: JSON cannot hold them.
+        path = write_json(tmp_path / "big.json", spec)
+        with np.errstate(all="ignore"):
+            code = cli.main([command, "--spec", path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"report field {field} is " in err
+        assert sorted(os.listdir(tmp_path)) == ["big.json"]
 
     @pytest.mark.parametrize("argv", [["sample", "--grid", "8", "4"],
                                       ["singular-set", "--angles", "8"]],
@@ -972,18 +1001,20 @@ class TestCli:
                                                                   monkeypatch):
         surface_file = str(tmp_path / "cat.surface.txt")
         fileio.save_surface(catenoid, surface_file)
-        sizes = {"d_z": [], "d_zbar": []}
-        for name in sizes:
+        loaded = []
+        load = fileio.load_surface
+        monkeypatch.setattr(fileio, "load_surface", lambda path: loaded.append(load(path)) or loaded[0])
+        calls = []
+        for name in ("d_z", "d_zbar"):
             method = getattr(HarmonicOnAnnulus, name)
-            monkeypatch.setattr(HarmonicOnAnnulus, name,
-                                lambda self, z, m=method, n=name: sizes[n].append(np.size(z))
-                                or m(self, z))
+            monkeypatch.setattr(HarmonicOnAnnulus, name, lambda self, z, m=method, n=name: calls.append(
+                ("planar" if self is loaded[0].planar else "height", n, np.size(z))) or m(self, z))
         assert cli.main(["gauss-map", "--surface", surface_file, "--out",
                          str(tmp_path / "gauss.csv"), "--grid", "16", "8"]) == 0
-        # Past the whole grid, only each region's w_z remains.
-        assert sizes["d_z"].count(16 * 8) == 1
-        assert sizes["d_zbar"].count(16 * 8) == 1
-        assert max(sizes["d_zbar"]) == 16 * 8
+        # Both regions of the catenoid are on the grid, and no point is
+        # singular or at infinity: w_z once, on every point.
+        assert calls == [("planar", "d_z", 16 * 8), ("planar", "d_zbar", 16 * 8),
+                         ("height", "d_z", 16 * 8)]
 
     def test_gauss_map_blocks_bound_each_call(self, catenoid, tmp_path, monkeypatch):
         surface_file = str(tmp_path / "cat.surface.txt")
