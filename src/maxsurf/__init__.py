@@ -26,7 +26,6 @@ from .interpolation import (
     ModifiedCoefficients,
     SpacelikeCurve,
     build_surface,
-    build_surface_through_point,
     family_curve,
     modified_coeffs,
     scalar_residual,
@@ -46,7 +45,6 @@ from .surface import (
     evaluate,
     gauss_map,
     is_degenerate,
-    metric_factor,
     normal,
     singular_set,
     special_singularity_check,

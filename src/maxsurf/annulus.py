@@ -40,10 +40,6 @@ class DomainError(ValueError):
     """Evaluation point lies outside the annulus of definition."""
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 def _centered(coeffs: np.ndarray, kmax: int) -> np.ndarray:
     """Modes -kmax..kmax of a centered coefficient array, zero-padded or truncated."""
     k = (len(coeffs) - 1) // 2
@@ -99,7 +95,7 @@ class CircleFunction:
         """Fourier-analyze M equispaced samples; M must be a power of two."""
         s = np.asarray(samples, dtype=complex)
         m = len(s)
-        if not _is_power_of_two(m):
+        if m < 1 or m & (m - 1):
             raise ValueError(f"sample count {m} is not a power of two")
         if m == 1:  # a constant; the Nyquist split below needs m >= 2
             return cls(s)
@@ -346,11 +342,4 @@ class HarmonicOnAnnulus:
         zbp = np.power(zb[..., None], -self._modes - 1)
         out = zbp @ (-self._modes * self.antiholo) + self.log_coeff / (2.0 * zb)
         return self._finish(out, scalar)
-
-    def shifted(self, offset: complex) -> "HarmonicOnAnnulus":
-        a = self.holo.copy()
-        a[self.truncation] += offset
-        return HarmonicOnAnnulus(
-            a, self.antiholo, self.log_coeff, self.inner_radius, self.outer_radius
-        )
 

@@ -90,15 +90,16 @@ def _boundary_fields(data: BjorlingData):
 
 def validate(data: BjorlingData, tol: float = CONSTRAINT_TOL) -> ValidationReport:
     """Pointwise residuals of nullity, orthogonality, and realness."""
-    _, tp, th, rp, rh = _boundary_fields(data)
-    curve_null = float(np.max(np.abs(np.abs(tp) ** 2 - th**2)))
-    radial_null = float(np.max(np.abs(np.abs(rp) ** 2 - rh**2)))
-    ortho = float(np.max(np.abs(np.real(tp * np.conj(rp)) - th * rh)))
-    both_zero = (
-        max(data.curve_planar.derivative().max_abs(),
-            data.curve_height.derivative().max_abs()) < tol
-        and max(data.radial_planar.max_abs(), data.radial_height.max_abs()) < tol
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails `passed`
+        _, tp, th, rp, rh = _boundary_fields(data)
+        curve_null = float(np.max(np.abs(np.abs(tp) ** 2 - th**2)))
+        radial_null = float(np.max(np.abs(np.abs(rp) ** 2 - rh**2)))
+        ortho = float(np.max(np.abs(np.real(tp * np.conj(rp)) - th * rh)))
+        both_zero = (
+            max(data.curve_planar.derivative().max_abs(),
+                data.curve_height.derivative().max_abs()) < tol
+            and max(data.radial_planar.max_abs(), data.radial_height.max_abs()) < tol
+        )
     tails = [
         cf.tail_magnitude(DEFAULT_TRUNCATION)
         for cf in (

@@ -156,6 +156,7 @@ def cmd_interpolate(args, config) -> int:
     spec = fileio.load_curve_spec(args.spec)
     curve = spec.as_curve()
     margin = interpolation.spacelike_margin(curve)
+    fileio.check_report({"spacelike_margin": margin})  # no search on an overflowed margin
     if margin <= interpolation.SPACELIKE_MARGIN:
         print(f"curve is not strictly spacelike (margin {margin:.3g})",
               file=sys.stderr)

@@ -267,12 +267,15 @@ def write_rows(fh, row: str, *columns):
         fh.write(table.tobytes().translate(None, b"\0"))
 
 
-def write_text(path: str, text: str, *tables):
-    """Write ``text``, then each ``(row, *columns)`` table, to ``path`` as UTF-8."""
+def write_text(path: str, *parts):
+    """Write the parts to ``path`` as UTF-8, in order: a str as it is, a
+    ``(row, *columns)`` table by `write_rows`."""
     with open(path, "wb") as fh:
-        fh.write(text.encode())
-        for row, *columns in tables:
-            write_rows(fh, row, *columns)
+        for part in parts:
+            if isinstance(part, str):
+                fh.write(part.encode())
+            else:
+                write_rows(fh, *part)
 
 
 # -- curve specifications ---------------------------------------------------
@@ -379,17 +382,16 @@ def load_curve_spec(path: str) -> CurveSpec:
 
 def save_surface(surface: MaximalSurface, path: str):
     """Exact-decimal text dump of both harmonic functions."""
-    text = COEFF_MAGIC + "\n"
+    parts = [COEFF_MAGIC + "\n"]
     for tag, h in (("planar", surface.planar), ("height", surface.height)):
-        text += "%s.annulus %.17g %.17g\n" % (tag, h.inner_radius, h.outer_radius)
-        text += "%s.log %.17g %.17g\n" % (tag, h.log_coeff.real, h.log_coeff.imag)
         a, b = h.holo, h.antiholo
         kept = (np.abs(a) > COEFF_FLOOR) | (np.abs(b) > COEFF_FLOOR)
-        text += format_rows(
-            tag + " %d %.17g %.17g %.17g %.17g\n",
-            np.arange(-h.truncation, h.truncation + 1)[kept],
-            a.real[kept], a.imag[kept], b.real[kept], b.imag[kept])
-    write_text(path, text)
+        parts += ["%s.annulus %.17g %.17g\n" % (tag, h.inner_radius, h.outer_radius),
+                  "%s.log %.17g %.17g\n" % (tag, h.log_coeff.real, h.log_coeff.imag),
+                  (tag + " %d %.17g %.17g %.17g %.17g\n",
+                   np.arange(-h.truncation, h.truncation + 1)[kept],
+                   a.real[kept], a.imag[kept], b.real[kept], b.imag[kept])]
+    write_text(path, *parts)
 
 
 def load_surface(path: str) -> MaximalSurface:
@@ -533,7 +535,7 @@ def export_mesh(
     v00, v01 = row + j, row + (j + 1) % n_theta
     v10, v11 = v00 + n_theta, v01 + n_theta
     faces = np.stack([v00, v01, v11, v00, v11, v10], axis=-1).reshape(-1, 3)
-    write_text(path, "", ("v %.17g %.17g %.17g\n", xs, ys, ts), ("f %d %d %d\n", *faces.T))
+    write_text(path, ("v %.17g %.17g %.17g\n", xs, ys, ts), ("f %d %d %d\n", *faces.T))
 
 
 def export_point_cloud(

@@ -48,13 +48,6 @@ class SpacelikeCurve:
     planar: CircleFunction
     height: CircleFunction
 
-    def translated(self, planar_shift: complex, height_shift: float) -> "SpacelikeCurve":
-        p = self.planar.coeffs.copy()
-        p[self.planar.max_mode] -= planar_shift
-        h = self.height.coeffs.copy()
-        h[self.height.max_mode] -= height_shift
-        return SpacelikeCurve(CircleFunction(p), CircleFunction(h))
-
 
 def _check_real_height(curve: SpacelikeCurve) -> None:
     """Raise InterpolationError unless the height component is real to
@@ -66,11 +59,12 @@ def _check_real_height(curve: SpacelikeCurve) -> None:
 def spacelike_margin(curve: SpacelikeCurve) -> float:
     """min over CIRCLE_SAMPLES points of the curve of |planar tangent|^2 -
     (height tangent)^2; a height that is not real raises InterpolationError
-    (`_check_real_height`)."""
+    (`_check_real_height`); inf or NaN where the tangent overflows."""
     _check_real_height(curve)
-    dp = fourier_synthesize(curve.planar.derivative(), CIRCLE_SAMPLES)
-    dh = np.real(fourier_synthesize(curve.height.derivative(), CIRCLE_SAMPLES))
-    return float(np.min(np.abs(dp) ** 2 - dh**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp = fourier_synthesize(curve.planar.derivative(), CIRCLE_SAMPLES)
+        dh = np.real(fourier_synthesize(curve.height.derivative(), CIRCLE_SAMPLES))
+        return float(np.min(np.abs(dp) ** 2 - dh**2))
 
 
 @dataclass(frozen=True)
@@ -150,7 +144,8 @@ def _residual_modes(mc: ModifiedCoefficients) -> np.ndarray:
     M = 1 << (4 * K).bit_length()
     p = _radial_nodes(mc.planar, mc.log_planar, M)
     h = _radial_nodes(mc.height, mc.log_height, M)
-    modes = np.fft.fft(np.abs(p) ** 2 - np.abs(h) ** 2, norm="forward")
+    with np.errstate(over="ignore", invalid="ignore"):  # scalar_residual checks
+        modes = np.fft.fft(np.abs(p) ** 2 - np.abs(h) ** 2, norm="forward")
     return modes[..., np.arange(-2 * K, 2 * K + 1) % M]
 
 
@@ -161,10 +156,13 @@ def series_residuals(mc: ModifiedCoefficients) -> tuple[dict[int, complex], floa
 
 
 def scalar_residual(curve: SpacelikeCurve, r0: float) -> float:
-    """Sup-norm over all Fourier modes of the nullity residual at r0."""
+    """Sup-norm over all Fourier modes of the nullity residual at r0, finite."""
     mc = modified_coeffs(curve, r0)
     residuals, zero_mode = series_residuals(mc)
-    return max(abs(zero_mode), max(abs(v) for v in residuals.values()))
+    value = max(abs(zero_mode), max(abs(v) for v in residuals.values()))
+    if not np.isfinite(value):
+        raise ValueError(f"the nullity residual at r0 = {r0} is {value}, not a finite number")
+    return value
 
 
 def _slope_kernel(curve: SpacelikeCurve):
@@ -185,13 +183,14 @@ def _slope_kernel(curve: SpacelikeCurve):
         for i in range(0, len(t), rows):
             x = t[i : i + rows]
             nx = np.multiply.outer(x, n)
+            # sinh overflows to a zero weight; the caller checks g's finiteness.
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 w = np.where(n != 0, 0.5 / np.sinh(nx), 0.0)
                 dw = np.where(n != 0, -n * w / np.tanh(nx), 0.0)  # -n cosh / (2 sinh^2)
-            weights = np.array([1.0 / x, -1.0 / (x * x)] * 2)
-            p, dp, q, dq = _radial_nodes(coeffs * np.array([w, dw, w, dw]), logs[:, None] * weights, M)
-            rate = 2.0 * (np.conj(p) * dp - np.conj(q) * dq).real
-            g[i : i + rows] = np.mean((np.abs(p) ** 2 - np.abs(q) ** 2) * rate, axis=1)
+                weights = np.array([1.0 / x, -1.0 / (x * x)] * 2)
+                p, dp, q, dq = _radial_nodes(coeffs * np.array([w, dw, w, dw]), logs[:, None] * weights, M)
+                rate = 2.0 * (np.conj(p) * dp - np.conj(q) * dq).real
+                g[i : i + rows] = np.mean((np.abs(p) ** 2 - np.abs(q) ** 2) * rate, axis=1)
         return g
 
     return slope
@@ -211,7 +210,8 @@ def search_r0(
     from negative to non-negative holds a residual minimum; all are refined
     to rounding together, SEARCH_SECTIONS sections per kernel call.  A
     minimum with residual below ``residual_tol`` yields whichever of e^-tau
-    and e^tau lie in the bracket.  An empty list is the negative answer.
+    and e^tau lie in the bracket.  An empty list is the negative answer; a
+    scan that overflows raises ValueError.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi < np.inf):
@@ -223,6 +223,8 @@ def search_r0(
     tau = np.linspace(start, ends.max(), scan_points)
     slope = _slope_kernel(curve)
     g = slope(tau)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("the slope of the nullity residual overflows on the radius scan")
     cell = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
     found = _bisect_brackets(lambda x, k: slope(x), tau[cell], tau[cell + 1], g[cell],
                              xtol=0.0, sections=SEARCH_SECTIONS)
@@ -263,7 +265,7 @@ def build_surface(
     annulus excludes |z| = 1 (`surface_from_modified`).
     """
     margin = spacelike_margin(curve)
-    if margin <= SPACELIKE_MARGIN:
+    if not margin > SPACELIKE_MARGIN:  # NaN too
         raise InterpolationError(
             f"curve is not strictly spacelike (margin {margin:.3g})"
         )
@@ -300,26 +302,6 @@ def build_surface(
     if is_degenerate(surface.planar):
         raise InterpolationError("resulting surface is degenerate")
     return surface
-
-
-def build_surface_through_point(
-    curve: SpacelikeCurve,
-    r0: float,
-    point: tuple[complex, float],
-    residual_tol: float = RESIDUAL_TOL,
-) -> MaximalSurface:
-    """Like build_surface, but the singular image point may be anywhere.
-
-    The curve is translated so the point moves to the origin, the origin
-    machinery runs, and the translation is undone on the result.
-    """
-    planar_shift, height_shift = complex(point[0]), float(point[1])
-    moved = curve.translated(planar_shift, height_shift)
-    surface = build_surface(moved, r0, residual_tol)
-    return MaximalSurface(
-        surface.planar.shifted(planar_shift),
-        surface.height.shifted(height_shift),
-    )
 
 
 def family_curve(cparam: float) -> SpacelikeCurve:

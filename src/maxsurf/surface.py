@@ -103,12 +103,6 @@ def singularity_residual(surface: MaximalSurface, z):
     return np.abs(hz) ** 2 - np.abs(hzb) ** 2
 
 
-def metric_factor(surface: MaximalSurface, z):
-    hz = surface.planar.d_z(z)
-    hzb = surface.planar.d_zbar(z)
-    return (np.abs(hz) - np.abs(hzb)) ** 2
-
-
 _REGIONS = np.array([Region.ANTI_DOMINANT, Region.SINGULAR, Region.HOLO_DOMINANT])
 
 
@@ -508,13 +502,11 @@ def w_from_h(planar: HarmonicOnAnnulus, z0: complex, w0: float, targets, via=Non
 
 def special_singularity_check(surface: MaximalSurface, radius: float) -> bool:
     """True iff the circle |z| = radius maps to a single point and is singular,
-    both within SPECIAL_TOL on CIRCLE_SAMPLES points."""
-    circle = radius * np.exp(1j * circle_angles(CIRCLE_SAMPLES))
-    p = surface.planar.eval(circle)
-    w = np.real(surface.height.eval(circle))
-    spread = max(
-        float(np.max(np.abs(p - p[0]))),
-        float(np.max(np.abs(w - w[0]))),
-    )
-    eta_max = float(np.max(metric_factor(surface, circle)))
+    both within SPECIAL_TOL on CIRCLE_SAMPLES points: the spread of p and w,
+    and the metric factor (|h_z| - |h_zbar|)^2, from one synthesis per circle."""
+    p = surface.planar.eval_polar([radius], CIRCLE_SAMPLES)[0]
+    w = surface.height.eval_polar([radius], CIRCLE_SAMPLES)[0].real
+    hz, hzb = surface.planar.d_polar([radius], CIRCLE_SAMPLES)
+    spread = max(float(np.max(np.abs(p - p[0]))), float(np.max(np.abs(w - w[0]))))
+    eta_max = float(np.max((np.abs(hz) - np.abs(hzb)) ** 2))
     return spread < SPECIAL_TOL and eta_max < SPECIAL_TOL

@@ -192,11 +192,6 @@ class TestHarmonicOnAnnulus:
         assert abs(h.d_z(z) - 0.5 * (dx - 1j * dy)) < 1e-8
         assert abs(h.d_zbar(z) - 0.5 * (dx + 1j * dy)) < 1e-8
 
-    def test_addition_and_shift(self):
-        a = HarmonicOnAnnulus.from_modes(holo={1: 1.0})
-        z = 1.5 + 0.2j
-        assert abs(a.shifted(3.0 - 1.0j).eval(z) - a.eval(z) - (3.0 - 1.0j)) < 1e-14
-
     def test_scalar_and_array_evaluation_agree(self):
         h = HarmonicOnAnnulus.from_modes(holo={1: 0.5}, antiholo={1: -0.5})
         pts = np.array([0.7, 1.3 + 0.4j, 2.0j])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxsurf.annulus import CircleFunction
+from maxsurf.annulus import CIRCLE_SAMPLES, CircleFunction, HarmonicOnAnnulus
 from maxsurf.bjorling import BjorlingData, solve, validate
 from maxsurf.interpolation import (
     InterpolationError,
@@ -16,7 +16,6 @@ from maxsurf.interpolation import (
     _residual_modes,
     _slope_kernel,
     build_surface,
-    build_surface_through_point,
     family_curve,
     modified_coeffs,
     scalar_residual,
@@ -322,6 +321,16 @@ class TestBuildSurface:
         assert np.max(np.abs(surface.height.eval(z) - catenoid.height.eval(z))) < 1e-12
         assert special_singularity_check(surface, 1.0)
 
+    def test_evaluates_the_unit_circle_once(self, monkeypatch):
+        # Two eval calls for the origin spread on |z| = 1 and two for the
+        # curve at r0; special_singularity_check synthesises its circle.
+        calls = []
+        method = HarmonicOnAnnulus.eval
+        monkeypatch.setattr(HarmonicOnAnnulus, "eval",
+                            lambda self, z: calls.append(np.size(z)) or method(self, z))
+        build_surface(family_curve(2.0), 2.0)
+        assert calls == [CIRCLE_SAMPLES] * 4
+
     def test_rejects_radius_without_solution(self, catenoid_curve):
         with pytest.raises(InterpolationError, match="residual"):
             build_surface(catenoid_curve, 1.5)
@@ -334,20 +343,6 @@ class TestBuildSurface:
         assert spacelike_margin(curve) < 0.0
         with pytest.raises(InterpolationError, match="spacelike"):
             build_surface(curve, 2.0)
-
-    def test_translation_moves_the_singular_image(self, catenoid_curve):
-        point = (1.0 - 2.0j, 3.0)
-        moved_curve = SpacelikeCurve(
-            CircleFunction.from_dict({1: -0.75, 0: point[0]}),
-            CircleFunction.from_dict({0: math.log(0.5) + point[1]}),
-        )
-        surface = build_surface_through_point(moved_curve, 0.5, point)
-        th = 2.0 * np.pi * np.arange(64) / 64
-        circle = np.exp(1j * th)
-        assert np.max(np.abs(surface.planar.eval(circle) - point[0])) < 1e-10
-        assert np.max(np.abs(surface.height.eval(circle) - point[1])) < 1e-10
-        ring = 0.5 * circle
-        assert np.max(np.abs(surface.planar.eval(ring) - moved_curve.planar.sample(th))) < 1e-10
 
 
 class TestProofStructure:

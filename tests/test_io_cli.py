@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,25 @@ from maxsurf.surface import MaximalSurface, Region, SingularPoint
 # Values whose text is easy to get wrong: signed zero, the smallest
 # subnormal, an integer-valued float past 2^53, a short decimal, nan and inf.
 AWKWARD = [-0.0, 5e-324, 1e16, 2.5, np.nan, np.inf, -np.inf, 1.0 / 3.0]
+
+
+# Curve and Björling specs whose tangents or radial fields are too large to square.
+OVERFLOW_SPECS = {
+    "curve-1e200": {"kind": "curve", "planar": {"fourier": [[1, 1e200, 0.0]]},
+                    "height": {"fourier": [[0, 1.0, 0.0]]}},
+    "curve-1e150": {"kind": "curve", "planar": {"fourier": [[1, 1e150, 0.0]]},
+                    "height": {"fourier": [[0, 1.0, 0.0]]}},
+    "curve-1e153": {"kind": "curve", "planar": {"fourier": [[1, 1e153, 0.0]]},
+                    "height": {"fourier": [[0, 1.0, 0.0]]}},
+    "radial-1e200": {"kind": "bjorling", "curve_planar": {"fourier": [[1, 1.0, 0.0]]},
+                     "curve_height": {"fourier": [[0, 0.0, 0.0]]},
+                     "radial_planar": {"fourier": [[0, 1e200, 0.0]]},
+                     "radial_height": {"fourier": [[0, 1e200, 0.0]]}},
+    "tangent-1e308": {"kind": "bjorling", "curve_planar": {"fourier": [[2, 1e308, 0.0]]},
+                      "curve_height": {"fourier": [[0, 0.0, 0.0]]},
+                      "radial_planar": {"fourier": [[0, 1.0, 0.0]]},
+                      "radial_height": {"fourier": [[0, 1.0, 0.0]]}},
+}
 
 
 def write_json(path, payload):
@@ -455,10 +475,21 @@ class TestTableBytes:
                                          annulus=(0.0, np.inf)),
             HarmonicOnAnnulus.from_modes(holo={0: 5e-324}, annulus=(1.0 / 3.0, 1e16)),
         )
-        out = tmp_path / "s.surface.txt"
-        fileio.save_surface(surface, str(out))
-        assert out.read_bytes() == conftest.reference_surface_text(
-            surface, fileio.COEFF_MAGIC, fileio.COEFF_FLOOR).encode()
+        # A table of 601 kept modes takes write_rows' kernel path.
+        rng = np.random.default_rng(601)
+        n = np.arange(-300, 301)
+        coeffs = rng.normal(size=(4, n.size)) * 0.97 ** np.abs(n)
+        coeffs[:, rng.integers(0, n.size, 40)] = np.resize(AWKWARD[:4] + [1e-13, -7.25], 40)
+        coeffs[2:, 300] = 0.0
+        wide = MaximalSurface(
+            HarmonicOnAnnulus(coeffs[0] + 1j * coeffs[1], coeffs[2] + 1j * coeffs[3], 0.5, 0.9, 1.1),
+            surface.height)
+        assert np.count_nonzero(np.abs(wide.planar.holo) > COEFF_FLOOR) >= fileio.KERNEL_ROWS
+        for surface in (surface, wide):
+            out = tmp_path / "s.surface.txt"
+            fileio.save_surface(surface, str(out))
+            assert out.read_bytes() == conftest.reference_surface_text(
+                surface, fileio.COEFF_MAGIC, fileio.COEFF_FLOOR).encode()
 
     # Whether format_g17 and format_int run: only mesh faces have %d cells;
     # a mesh of 64 x 3 has 192 vertices, below KERNEL_ROWS, and 256 faces.
@@ -708,6 +739,31 @@ class TestCli:
         assert out == ""
         assert f"report field {field} is " in err
         assert sorted(os.listdir(tmp_path)) == ["big.json"]
+
+    @pytest.mark.parametrize("argv, spec, message", [
+        (["validate"], "curve-1e200", "report field validation.spacelike_margin is inf"),
+        (["interpolate"], "curve-1e200", "report field spacelike_margin is inf"),
+        (["interpolate"], "curve-1e150", "overflows on the radius scan"),
+        (["interpolate", "--r0", "1.001"], "curve-1e153", "nullity residual at r0 = 1.001 is inf"),
+        (["validate"], "radial-1e200", "report field validation.radial_nullity is nan"),
+        (["solve-bjorling"], "radial-1e200", "solve failed: invalid boundary data"),
+        (["validate"], "tangent-1e308", "report field validation.curve_nullity is nan"),
+    ], ids=["curve-validate", "curve-interpolate", "curve-1e150-interpolate",
+            "curve-1e153-explicit-radius", "bjorling-validate", "bjorling-solve",
+            "bjorling-tangent-validate"])
+    def test_overflowing_specs_exit_2_without_warnings(self, tmp_path, capsys, argv, spec,
+                                                       message):
+        # The margins of 1e150 and 1e153 are finite (1e300, 1e306), but the
+        # radius scan's slope and the residual at r0 = 1.001 overflow: they
+        # are refused, not read as "no radius".
+        path = write_json(tmp_path / "big.json", OVERFLOW_SPECS[spec])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([*argv, "--spec", path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and message in err
 
     @pytest.mark.parametrize("argv", [["sample", "--grid", "8", "4"],
                                       ["singular-set", "--angles", "8"]],

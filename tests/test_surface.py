@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from scipy.optimize import bisect
 
 import maxsurf.surface
-from maxsurf.annulus import DomainError, HarmonicOnAnnulus, circle_angles, polar_grid
+from maxsurf.annulus import CIRCLE_SAMPLES, DomainError, HarmonicOnAnnulus, circle_angles, polar_grid
 from maxsurf.bjorling import solve
 from maxsurf.fileio import load_surface, save_surface
 from maxsurf.interpolation import build_surface, family_curve
 from maxsurf.surface import (
     POINT_AT_INFINITY,
     SINGULAR_TOL,
+    SPECIAL_TOL,
     BranchPointError,
     MaximalSurface,
     Region,
@@ -27,7 +28,6 @@ from maxsurf.surface import (
     grid_points,
     grid_radii,
     is_degenerate,
-    metric_factor,
     normal,
     singular_set,
     singularity_residual,
@@ -50,9 +50,7 @@ class TestPointwiseQuantities:
         assert np.max(np.abs(conformality_residual(catenoid, z))) < 1e-15
 
     def test_catenoid_metric_and_residual(self, catenoid):
-        assert metric_factor(catenoid, 2.0) == pytest.approx(9.0 / 64.0)
         assert singularity_residual(catenoid, 2.0) == pytest.approx(15.0 / 64.0)
-        assert metric_factor(catenoid, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_classification(self, catenoid):
         assert classify_point(catenoid, 2.0) is Region.HOLO_DOMINANT
@@ -582,3 +580,32 @@ class TestSpecialSingularity:
     def test_catenoid_unit_circle_collapses(self, catenoid):
         assert special_singularity_check(catenoid, 1.0)
         assert not special_singularity_check(catenoid, 0.5)
+
+    def test_evaluates_no_point_matrices(self, catenoid, monkeypatch):
+        # p, w and the metric factor come from one synthesis per circle.
+        for name in ("eval", "d_z", "d_zbar"):
+            monkeypatch.setattr(HarmonicOnAnnulus, name, lambda self, z, n=name: pytest.fail(n))
+        assert special_singularity_check(catenoid, 1.0)
+        assert not special_singularity_check(catenoid, 2.0)
+
+    def test_verdicts_match_the_point_evaluation(self, catenoid):
+        # The reference evaluates the same CIRCLE_SAMPLES points with the point
+        # evaluators eval, d_z and d_zbar.
+        def reference(surface, radius):
+            circle = radius * np.exp(1j * circle_angles(CIRCLE_SAMPLES))
+            p, w = surface.planar.eval(circle), surface.height.eval(circle).real
+            spread = max(np.max(np.abs(p - p[0])), np.max(np.abs(w - w[0])))
+            eta = np.max((np.abs(surface.planar.d_z(circle))
+                          - np.abs(surface.planar.d_zbar(circle))) ** 2)
+            return spread < SPECIAL_TOL and eta < SPECIAL_TOL
+
+        rng = np.random.default_rng(22)
+        surfaces = [catenoid, *(build_surface(family_curve(c), c) for c in (0.4, 2.0, 3.0)),
+                    *(solve(random_valid_data(rng, fourier=True)) for _ in range(3))]
+        verdicts = []
+        for surface in surfaces:
+            for radius in (0.9, 1.0, 1.1):
+                if surface.inner_radius < radius < surface.outer_radius:
+                    verdicts.append(special_singularity_check(surface, radius))
+                    assert verdicts[-1] == reference(surface, radius), (surface, radius)
+        assert True in verdicts and False in verdicts
